@@ -26,9 +26,6 @@ ITERATION_COLUMNS = (
     "sel_score",
     "sel_evaluated",
     "n_pairs",
-    "n_tiles_total",
-    "n_tiles_pruned",
-    "n_pairs_skipped",
     "n_prefilter_kept",
     "n_adjacent",
     "n_duplicates",

@@ -16,17 +16,6 @@ from repro.core.stats import RunStats
 from repro.cluster.platform import PlatformSpec
 from repro.mpi.tracing import CommTrace
 
-#: Modeled cost of a zone-map-skipped pair relative to a fully prefiltered
-#: one: a skipped pair's share of the (vectorized) tile-bound evaluation
-#: versus two word gathers + OR + popcount per pair.
-TILE_SKIP_FRACTION = 1.0 / 16.0
-
-
-def _gen_pair_work(it) -> float:
-    """Effective pair count of one iteration: skipped pairs are charged at
-    the tile rate instead of the per-pair prefilter rate."""
-    return it.n_pairs - (1.0 - TILE_SKIP_FRACTION) * it.n_pairs_skipped
-
 
 @dataclasses.dataclass(frozen=True)
 class ModeledTimes:
@@ -62,7 +51,7 @@ def model_run(
     gen = rank_t = merge_work = 0.0
     for i in range(n_iter):
         its = [s.iterations[i] for s in rank_stats]
-        gen += max(_gen_pair_work(it) for it in its) / platform.pair_rate
+        gen += max(it.n_pairs for it in its) / platform.pair_rate
         rank_t += max(it.n_tested for it in its) / platform.ranktest_rate
         # Every rank merges the full gathered candidate set plus carries
         # its replica forward; P-way merge costs a log-ish factor.
@@ -80,7 +69,7 @@ def model_run(
 
 def model_serial(stats: RunStats, platform: PlatformSpec) -> ModeledTimes:
     """Model a one-rank run (no communication)."""
-    gen = sum(_gen_pair_work(it) for it in stats.iterations) / platform.pair_rate
+    gen = stats.total_candidates / platform.pair_rate
     rank_t = stats.total_rank_tests / platform.ranktest_rate
     merge = sum(it.n_accepted + it.n_modes_end * 0.05 for it in stats.iterations)
     return ModeledTimes(

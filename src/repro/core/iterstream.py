@@ -145,9 +145,9 @@ def stream_iteration(
         adjacency=adjacency, chunk_pairs=resolve_chunk_pairs(modes.q, options),
     )
     while True:
-        # Pull the next survivor chunk; the pair enumeration, zone-map
-        # pruning and prefilter all run inside the generator, so their
-        # cost lands in the generation bucket just as in batch.
+        # Pull the next survivor chunk; the pair enumeration and the
+        # prefilter run inside the generator, so their cost lands in the
+        # generation bucket just as in batch.
         with PhaseTimer(stats, "t_gen_cand"):
             item = next(gen, None)
         if item is None:

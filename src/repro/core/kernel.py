@@ -20,6 +20,7 @@ from repro.errors import (
     AlgorithmError,
     DependentPartitionError,
     ReversibleIdentityError,
+    TrivialNullspaceError,
 )
 from repro.linalg.numeric import kernel_identity_form
 from repro.network.model import MetabolicNetwork
@@ -169,7 +170,9 @@ def problem_from_matrices(
     )
     n_free = kernel0.shape[1]
     if n_free == 0:
-        raise AlgorithmError("stoichiometry has a trivial nullspace: no modes exist")
+        raise TrivialNullspaceError(
+            "stoichiometry has a trivial nullspace: no modes exist"
+        )
     free_names = {names[int(c)] for c in col_perm[:n_free]}
     forced_free = [f for f in force_last if f in free_names and reversible[names.index(f)]]
     if forced_free:

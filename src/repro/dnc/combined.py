@@ -54,6 +54,7 @@ from repro.errors import (
     OutOfMemoryError,
     PartitionError,
     ReversibleIdentityError,
+    TrivialNullspaceError,
 )
 from repro.efm.splitting import BWD_SUFFIX, FWD_SUFFIX, SplitRecord, split_reversible
 from repro.linalg.batched import RankCache, problem_token
@@ -298,21 +299,19 @@ def prepare_subset(
             rec = split_reversible(work_net, exc.reactions)
             split_rec = rec if split_rec is None else _compose_splits(split_rec, rec)
             work_net = rec.split
-        except AlgorithmError as exc:
-            if "trivial nullspace" in str(exc):
-                # The shrunken network admits no flux at all: empty subset.
-                return PreparedSubset(
-                    spec=spec,
-                    reduced=reduced,
-                    problem=None,
-                    stop=0,
-                    fallback=False,
-                    split_rec=None,
-                    src=sub,
-                    force_last=tuple(force_last),
-                    col_ids=None,
-                )
-            raise
+        except TrivialNullspaceError:
+            # The shrunken network admits no flux at all: empty subset.
+            return PreparedSubset(
+                spec=spec,
+                reduced=reduced,
+                problem=None,
+                stop=0,
+                fallback=False,
+                split_rec=None,
+                src=sub,
+                force_last=tuple(force_last),
+                col_ids=None,
+            )
     else:  # pragma: no cover - each retry strictly reduces failure modes
         raise PartitionError(f"subset {spec.label()}: splitting did not converge")
 

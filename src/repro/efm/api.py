@@ -65,7 +65,10 @@ def compute_efms(
         ``"serial"`` — Algorithm 1; ``"parallel"`` — Algorithm 2 on
         ``n_ranks`` simulated ranks; ``"distributed"`` — the
         column-partitioned variant; ``"combined"`` — Algorithm 3
-        (divide-and-conquer over ``partition``).
+        (divide-and-conquer over ``partition``).  The combinatorial
+        acceptance test (``options.acceptance`` ``"bittree"``/``"both"``)
+        runs on ``"serial"`` and ``"parallel"`` only; the other methods
+        reject it before any work.
     compress:
         Run the lossless network reduction first (recommended; the paper
         always does).
@@ -110,6 +113,12 @@ def compute_efms(
         checkpoint_path=checkpoint_path,
     )
     options = ctx.options
+    if options.acceptance != "rank" and method in ("combined", "distributed"):
+        raise AlgorithmError(
+            f"acceptance={options.acceptance!r} is supported by "
+            "method='serial' and method='parallel' only; "
+            f"method={method!r} supports acceptance='rank'"
+        )
     if compress:
         rec = compress_network(network)
     else:

@@ -46,6 +46,12 @@ class ReversibleIdentityError(AlgorithmError):
         self.reactions = reactions
 
 
+class TrivialNullspaceError(AlgorithmError):
+    """The stoichiometry admits no non-zero steady-state flux (its
+    nullspace is trivial), so no modes exist.  Divide-and-conquer subsets
+    whose zero-flux deletions leave such a network are empty."""
+
+
 class DependentPartitionError(AlgorithmError):
     """A reversible divide-and-conquer partition reaction is linearly
     dependent on the other pivot columns, so its kernel row cannot carry

@@ -4,21 +4,17 @@ At each iteration the ``n_pos * n_neg`` candidate pairs are split across
 ranks.  Reference [17] distributes pairs "combinatorially" — a cyclic
 (strided) assignment so that consecutive pairs, whose costs correlate
 (they share a positive mode), land on different ranks.  A contiguous block
-split is provided as the ablation baseline.  The "tiled" strategy aligns
-rank shares with the zone-map tile grid of :mod:`repro.core.pairspace`:
-each rank takes a contiguous, pair-count-balanced run of tiles, so tile
-pruning never straddles a rank boundary and pruned tiles are dropped
-before their pair indices are materialized.
+split is provided as the ablation baseline.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Literal
 
-from repro.core.candidates import PairRange, block_range, strided_range, tiled_range
+from repro.core.candidates import PairRange, block_range, strided_range
 from repro.errors import AlgorithmError
 
-PairStrategyName = Literal["strided", "block", "tiled"]
+PairStrategyName = Literal["strided", "block"]
 PairStrategy = Callable[[int, int, int], PairRange]
 
 
@@ -28,18 +24,10 @@ def get_pair_strategy(name: PairStrategyName) -> PairStrategy:
         return lambda n_pairs, rank, size: strided_range(n_pairs, rank, size)
     if name == "block":
         return lambda n_pairs, rank, size: block_range(n_pairs, rank, size)
-    if name == "tiled":
-        return lambda n_pairs, rank, size: tiled_range(n_pairs, rank, size)
     raise AlgorithmError(f"unknown pair strategy {name!r}")
 
 
 def pair_share_counts(n_pairs: int, size: int, name: PairStrategyName) -> list[int]:
-    """Per-rank pair counts under a strategy (load-balance reporting).
-
-    For the "tiled" strategy these are the balanced *estimates* of
-    :meth:`~repro.core.candidates.TiledRange.count`; the exact share
-    depends on the iteration's tile geometry and is recorded in
-    ``IterationStats.n_pairs`` at generation time.
-    """
+    """Per-rank pair counts under a strategy (load-balance reporting)."""
     strategy = get_pair_strategy(name)
     return [strategy(n_pairs, r, size).count() for r in range(size)]

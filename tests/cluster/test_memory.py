@@ -182,7 +182,7 @@ class TestPredictionUpperBoundsMeasuredPeak:
 
     @pytest.mark.parametrize("streaming", ["on", "off"])
     @pytest.mark.parametrize("pipeline", ["deferred", "eager"])
-    @pytest.mark.parametrize("strategy", ["strided", "block", "tiled"])
+    @pytest.mark.parametrize("strategy", ["strided", "block"])
     def test_prediction_is_upper_bound(self, streaming, pipeline, strategy):
         from repro.config import AlgorithmOptions
         from repro.dnc.combined import solve_subset
@@ -203,7 +203,6 @@ class TestPredictionUpperBoundsMeasuredPeak:
                 working_factor=self.WF,
                 candidate_pipeline=pipeline,
                 pair_chunk=opts.pair_chunk,
-                pair_pruning=opts.pair_pruning,
                 iter_streaming=streaming,
                 iter_chunk_bytes=opts.iter_chunk_bytes,
             )

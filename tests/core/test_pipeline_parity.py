@@ -121,3 +121,21 @@ def test_yeast_small_pipeline_parity_property():
             f"{label}: eager and deferred EFM sets differ"
         )
     assert runs["deferred"][0].n_efms == 530
+
+
+@pytest.mark.slow
+def test_yeast_small_block_strategy_pipeline_pin():
+    """The contiguous block pair split (the strided default is covered
+    above) keeps the 530-EFM yeast-I-small set on both pipelines, P in
+    {2, 4}, with eager and deferred bit-identical."""
+    net = yeast_1_small()
+    serial = compute_efms(net, options=DEFERRED)
+    for n_ranks in (2, 4):
+        eager, deferred = (
+            compute_efms(net, method="parallel", n_ranks=n_ranks,
+                         pair_strategy="block", options=opts)
+            for opts in (EAGER, DEFERRED)
+        )
+        assert deferred.n_efms == 530, n_ranks
+        assert np.array_equal(eager.fluxes, deferred.fluxes), n_ranks
+        assert serial.same_modes_as(deferred), n_ranks

@@ -72,7 +72,7 @@ class TestToyStreamingParity:
             off.efms_input_order(), on.efms_input_order()
         )
 
-    @pytest.mark.parametrize("strategy", ["strided", "block", "tiled"])
+    @pytest.mark.parametrize("strategy", ["strided", "block"])
     def test_pair_strategies(self, toy_problem, strategy):
         off = combinatorial_parallel(
             toy_problem, 2, pair_strategy=strategy, options=_opts("off")

@@ -6,11 +6,12 @@ import pytest
 from repro.cluster.memory import MemoryModel
 from repro.core.kernel import build_problem
 from repro.core.serial import nullspace_algorithm
-from repro.dnc.combined import combined_parallel, solve_subset
+from repro.dnc.combined import combined_parallel, prepare_subset, solve_subset
 from repro.dnc.subsets import SubsetSpec
 from repro.errors import PartitionError
 from repro.models.generators import random_network
 from repro.network.compression import compress_network
+from repro.network.parser import network_from_equations
 from tests.conftest import assert_same_modes
 
 
@@ -68,6 +69,21 @@ class TestSubsetMechanics:
         run = combined_parallel(toy_record.reduced, ("r1", "r5"), 1)
         total = sum(s.n_efms for s in run.subsets)
         assert total == 8  # union still complete
+
+    def test_trivial_nullspace_subset_is_empty(self):
+        # Zeroing r2 of the chain => A => B => leaves a stoichiometry of
+        # full column rank: no flux is possible, so the subset is empty.
+        net = network_from_equations(
+            "chain", ["r1 : => A", "r2 : A => B", "r3 : B =>"]
+        )
+        spec = SubsetSpec(subset_id=0, partition=("r2",))
+        assert spec.zero == ("r2",)
+        assert prepare_subset(net, spec).problem is None
+        result = solve_subset(net, spec, 1)
+        assert result.completed
+        assert result.n_efms == 0
+        run = combined_parallel(net, ("r2",), 1)
+        assert [s.n_efms for s in run.subsets] == [0, 1]
 
     def test_solve_subset_reports_candidates(self, toy_record):
         spec = SubsetSpec(subset_id=3, partition=("r6r", "r8r"))

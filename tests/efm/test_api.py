@@ -7,7 +7,9 @@ from repro.config import AlgorithmOptions
 from repro.efm.api import compute_efms
 from repro.errors import AlgorithmError, PartitionError
 from repro.models.generators import random_network
+from repro.models.toy import TOY_N_EFMS
 from repro.network.parser import network_from_equations
+from tests.conftest import assert_same_modes, brute_force_efms
 
 
 class TestMethods:
@@ -90,6 +92,41 @@ class TestAutoSplit:
         r = compute_efms(toy, options=AlgorithmOptions(acceptance="bittree"))
         assert base.same_modes_as(r)
         assert set(r.meta["split"]) == {"r6r", "r8r"}
+
+
+class TestOptionMatrix:
+    """Every method x acceptance combination on the toy either returns the
+    canonical EFM set or is rejected before any work is done."""
+
+    CASES = [
+        ("serial", {}),
+        ("parallel", {"n_ranks": 3, "pair_strategy": "strided"}),
+        ("parallel", {"n_ranks": 3, "pair_strategy": "block"}),
+        ("distributed", {"n_ranks": 2}),
+        ("combined", {"partition": 2}),
+    ]
+
+    @pytest.mark.parametrize("acceptance", ["rank", "bittree", "both"])
+    @pytest.mark.parametrize(
+        "method,kwargs", CASES,
+        ids=["serial", "parallel-strided", "parallel-block", "distributed",
+             "combined"],
+    )
+    def test_runs_or_rejects_up_front(
+        self, toy, monkeypatch, method, kwargs, acceptance
+    ):
+        opts = AlgorithmOptions(acceptance=acceptance)
+        if acceptance != "rank" and method in ("combined", "distributed"):
+            def no_work(*args, **kw):
+                raise AssertionError("work started before the option check")
+
+            monkeypatch.setattr("repro.efm.api.compress_network", no_work)
+            with pytest.raises(AlgorithmError, match="'serial' and .*'parallel'"):
+                compute_efms(toy, method=method, options=opts, **kwargs)
+            return
+        r = compute_efms(toy, method=method, options=opts, **kwargs)
+        assert r.n_efms == TOY_N_EFMS
+        assert_same_modes(brute_force_efms(toy), r.fluxes)
 
 
 class TestOutputShape:

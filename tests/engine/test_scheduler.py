@@ -44,7 +44,7 @@ class TestPlanning:
     def test_predictions_match_memory_model(self, reduced, specs):
         sched = make_scheduler(reduced, specs)
         jobs = sched.plan()
-        # The scheduler predicts for whatever pipeline / pruning its
+        # The scheduler predicts for whatever pipeline / backend its
         # options select (env-sensitive defaults) — compare like for like.
         opts = sched.context.options
         for job in jobs:
@@ -53,7 +53,6 @@ class TestPlanning:
                 job.spec,
                 candidate_pipeline=opts.candidate_pipeline,
                 pair_chunk=opts.pair_chunk,
-                pair_pruning=opts.pair_pruning,
                 rank_backend=opts.rank_backend,
                 ordering=opts.ordering,
             )
