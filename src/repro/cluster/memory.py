@@ -49,11 +49,6 @@ class MemoryModel:
     enforcing: bool = True
     peak_bytes: int = 0
     last_iteration: int = -1
-    #: peak mapped shared-memory segment footprint (one allgather round's
-    #: frames across all ranks of this node) — recorded, not enforced:
-    #: segments live in /dev/shm, not in the rank's matrix budget, but the
-    #: number belongs in capacity planning reports.
-    peak_segment_bytes: int = 0
 
     def charge(self, iteration: int, modes: ModeMatrix) -> None:
         """Account one iteration's footprint; raises on overflow."""
@@ -72,11 +67,6 @@ class MemoryModel:
     def check(self, iteration: int, modes: ModeMatrix) -> None:
         """Alias matching the ``memory_check`` callback signature."""
         self.charge(iteration, modes)
-
-    def note_segments(self, nbytes: int) -> None:
-        """Record a shared-memory allgather round's mapped segment bytes
-        (see :attr:`peak_segment_bytes`)."""
-        self.peak_segment_bytes = max(self.peak_segment_bytes, int(nbytes))
 
     def fresh(self) -> "MemoryModel":
         """A zeroed copy with the same configuration (per-subproblem use)."""

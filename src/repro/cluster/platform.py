@@ -75,10 +75,10 @@ class PlatformSpec:
     def t_communicate(self, trace: CommTrace) -> float:
         """Replay a communication trace: latency per message plus bytes over
         per-rank bandwidth.  When the trace carries measured wire sizes
-        (typed codec frames / pickle blobs as produced by the backends),
-        those are replayed — true serialized volume, one copy per peer for
-        collectives; traces without measurements fall back to the logical
-        payload sizes, so hand-built traces model as before."""
+        (the pickle blobs the backends produce), those are replayed — true
+        serialized volume, one copy per peer for collectives; traces
+        without measurements fall back to the logical payload sizes, so
+        hand-built traces model as before."""
         return trace.n_messages * self.latency + (
             trace.modeled_bytes_sent + trace.modeled_bytes_received
         ) / self.bandwidth

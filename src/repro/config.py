@@ -13,6 +13,8 @@ import dataclasses
 import os
 from typing import Literal
 
+from repro.mpi.wire import resolve_timeout
+
 #: Default relative threshold below which a flux value is treated as zero.
 DEFAULT_ZERO_TOL: float = 1e-9
 
@@ -31,7 +33,6 @@ OrderingName = Literal[
 ]
 RankBackend = Literal["modular", "batched", "loop"]
 CandidatePipeline = Literal["deferred", "eager"]
-WireProtocol = Literal["typed", "pickle"]
 IterStreaming = Literal["on", "off"]
 
 
@@ -40,20 +41,6 @@ def _default_candidate_pipeline() -> str:
     whole test run can be flipped to the eager parity reference (the CI
     ``candidate-pipeline`` matrix leg sets ``REPRO_CANDIDATE_PIPELINE=eager``)."""
     return os.environ.get("REPRO_CANDIDATE_PIPELINE", "deferred")
-
-
-def _default_wire_protocol() -> str:
-    """Session-wide wire-protocol default, overridable via the environment
-    so a whole test run can be flipped to the legacy pickle reference (the
-    CI ``wire-protocol`` leg sets ``REPRO_WIRE_PROTOCOL=pickle``)."""
-    return os.environ.get("REPRO_WIRE_PROTOCOL", "typed")
-
-
-def _default_comm_timeout() -> float:
-    """Blocking-receive poll timeout (seconds) of the parallel backends,
-    overridable via ``REPRO_COMM_TIMEOUT_S`` (default: the 300 s that used
-    to be hard-coded in the process backend)."""
-    return float(os.environ.get("REPRO_COMM_TIMEOUT_S", "300"))
 
 
 def _default_iter_streaming() -> str:
@@ -185,14 +172,6 @@ class AlgorithmOptions:
         needs the joint sign distribution only replicated drivers hold.
     pair_chunk:
         Vectorized candidate-generation chunk size (pairs per chunk).
-    wire_protocol:
-        Message serialization of the parallel backends.  ``"typed"``
-        (default) frames known payload shapes (ndarrays, wire tuples,
-        scalars) into one contiguous buffer-protocol blob, serialized
-        exactly once per collective and decoded as zero-copy read-only
-        array views; ``"pickle"`` is the legacy generic path (parity
-        reference).  Both produce bit-identical EFM sets.  The default
-        follows ``REPRO_WIRE_PROTOCOL``.
     comm_timeout_s:
         Seconds a blocking receive waits before declaring deadlock in the
         parallel backends (``REPRO_COMM_TIMEOUT_S``; previously a
@@ -233,10 +212,7 @@ class AlgorithmOptions:
     ordering: OrderingName = dataclasses.field(default_factory=_default_ordering)
     selection_lookahead: int = DEFAULT_SELECTION_LOOKAHEAD
     pair_chunk: int = DEFAULT_PAIR_CHUNK
-    wire_protocol: WireProtocol = dataclasses.field(
-        default_factory=_default_wire_protocol
-    )
-    comm_timeout_s: float = dataclasses.field(default_factory=_default_comm_timeout)
+    comm_timeout_s: float = dataclasses.field(default_factory=resolve_timeout)
     iter_streaming: IterStreaming = dataclasses.field(
         default_factory=_default_iter_streaming
     )
@@ -271,8 +247,6 @@ class AlgorithmOptions:
             )
         if self.pair_chunk < 1:
             raise ValueError("pair_chunk must be positive")
-        if self.wire_protocol not in ("typed", "pickle"):
-            raise ValueError(f"unknown wire protocol {self.wire_protocol!r}")
         if self.comm_timeout_s <= 0:
             raise ValueError("comm_timeout_s must be positive")
         if self.iter_streaming not in ("on", "off"):

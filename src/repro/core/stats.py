@@ -110,10 +110,8 @@ class RunStats:
     #: payload serializations performed by this rank.
     n_serializations: int = 0
     #: bytes physically handed to the transport by this rank (pipe
-    #: writes, slot deposits, shared-segment writes).
+    #: writes, slot deposits).
     wire_bytes_sent: int = 0
-    #: peak mapped shared-memory segment footprint of one allgather round.
-    segment_peak_bytes: int = 0
 
     def add(self, it: IterationStats) -> None:
         self.iterations.append(it)
@@ -231,7 +229,6 @@ class RunStats:
             ser_bytes=self.ser_bytes + other.ser_bytes,
             n_serializations=self.n_serializations + other.n_serializations,
             wire_bytes_sent=self.wire_bytes_sent + other.wire_bytes_sent,
-            segment_peak_bytes=max(self.segment_peak_bytes, other.segment_peak_bytes),
         )
         for a, b in zip(self.iterations, other.iterations):
             merged.add(

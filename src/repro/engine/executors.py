@@ -284,7 +284,6 @@ class SpmdExecutor:
             size,
             backend=self.outer_backend,
             args=(self.order, list(jobs)),
-            wire_protocol=options.wire_protocol,
             comm_timeout=options.comm_timeout_s,
         )
         results: dict[int, SubsetResult] = {}

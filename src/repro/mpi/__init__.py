@@ -7,17 +7,7 @@ from repro.mpi.sequential import SequentialEngine
 from repro.mpi.spmd import run_spmd
 from repro.mpi.threads import ThreadEngine
 from repro.mpi.tracing import CommEvent, CommTrace, TracingCommunicator
-from repro.mpi.wire import (
-    PROTOCOLS,
-    WireCounters,
-    WireError,
-    decode,
-    encode,
-    is_frame,
-    pack_message,
-    resolve_protocol,
-    unpack_message,
-)
+from repro.mpi.wire import WireCounters, pack_message, unpack_message
 
 __all__ = [
     "Communicator",
@@ -27,13 +17,7 @@ __all__ = [
     "CommEvent",
     "CommTrace",
     "TracingCommunicator",
-    "PROTOCOLS",
     "WireCounters",
-    "WireError",
-    "decode",
-    "encode",
-    "is_frame",
     "pack_message",
-    "resolve_protocol",
     "unpack_message",
 ]

@@ -30,12 +30,12 @@ class Communicator(abc.ABC):
     deltas around each operation to attribute them to events.
     """
 
-    def __init__(self, rank: int, size: int, protocol: str = "pickle") -> None:
+    def __init__(self, rank: int, size: int) -> None:
         if not (0 <= rank < size):
             raise CommunicatorError(f"rank {rank} out of range for size {size}")
         self._rank = rank
         self._size = size
-        self.wire = WireCounters(protocol)
+        self.wire = WireCounters()
 
     @property
     def rank(self) -> int:

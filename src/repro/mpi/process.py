@@ -5,26 +5,13 @@ address spaces, explicit serialization on every message, and per-process
 peak-memory isolation.  On a single-core host this demonstrates semantics
 rather than speedup; on multi-core hosts the heavy phases parallelize.
 
-Transport: every pipe message is a pre-serialized blob (typed codec frame
-or pickle, selected by ``wire_protocol``) shipped with
+Transport: every pipe message is a pickled blob shipped with
 ``Connection.send_bytes`` — a payload is serialized **once** no matter how
-many peers it goes to.  Under the typed protocol the hot allgather runs
-over a shared-memory plane: each rank writes its framed blob into a
-per-round ``multiprocessing.shared_memory`` segment once and peers decode
-read-only views, so the pipe mesh's O(P²) payload copies become O(P)
-segment writes (the pipes carry only tiny control messages).  Three
-latency measures keep the plane competitive with plain pipes even for
-frequent rounds: frames below ``REPRO_WIRE_SEGMENT_MIN`` are inlined into
-the control message instead of paying per-round segment syscalls (the
-eager/rendezvous switch of real MPI); segment creates/attaches bypass the
-``resource_tracker`` (whose per-handle pipe round-trips to the singleton
-tracker process dominate small rounds); and instead of an attach-ack
-round, a creator defers unlinking its segment by one round — receiving
-every peer's *next* control message proves they all finished the current
-round, hence attached the segment.  When segments are disabled
-(``REPRO_WIRE_SEGMENTS=off``) a ring allgather stands in — P-1 neighbor
-hops of already-serialized bytes, the pattern a real MPI implementation
-uses on a network.
+many peers it goes to.  The hot allgather is a ring — P-1 neighbor hops
+that forward each already-serialized blob verbatim, the pattern a real
+MPI implementation uses on a network.  Even ranks send before they
+receive and odd ranks receive before they send, so no cycle of blocking
+sends can form and blobs of any size pass through the bounded pipes.
 
 The SPMD callable and its arguments must be picklable module-level
 objects (the same restriction ``mpiexec python script.py`` imposes in
@@ -33,58 +20,23 @@ spirit).
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing as mp
-from multiprocessing.connection import Connection
+import time
+from multiprocessing.connection import Connection, wait
 from typing import Any
 
 from repro.errors import CommunicatorError
 from repro.mpi import wire
-from repro.mpi.comm import Communicator, payload_nbytes
+from repro.mpi.comm import Communicator
 
 #: Reserved (negative) tags of the collective operations.
 _TAG_BARRIER = -1
-_TAG_GATHER = -2
 _TAG_BCAST = -3
 _TAG_RING_BASE = -1000  # ring step ``s`` uses tag ``_TAG_RING_BASE - s``
 
-#: Floor for a freshly created arena — amortizes creation for the common
-#: case of many small rounds that grew past the inline threshold once.
-_ARENA_MIN_BYTES = 1 << 16
-
-
-@contextlib.contextmanager
-def _untracked_shm():
-    """Suppress ``resource_tracker`` bookkeeping for segment operations.
-
-    Every ``SharedMemory`` create/attach/unlink ships a message over a
-    pipe to the singleton tracker process; at one tracker round-trip per
-    handle per rank per allgather round that traffic dominates
-    small-payload rounds (and on a single CPU forces a context switch
-    each time).  Segment lifetime is managed deterministically here —
-    creators always unlink (deferred one round, forced at close) — so
-    tracker protection buys nothing but the syscalls.  Only a hard-killed
-    creator can leak a segment, the same failure mode as an orphaned pipe.
-    """
-    try:
-        from multiprocessing import resource_tracker  # noqa: PLC0415
-
-        orig_register = resource_tracker.register
-        orig_unregister = resource_tracker.unregister
-    except Exception:  # pragma: no cover - stdlib internals moved
-        yield
-        return
-    resource_tracker.register = lambda *a, **k: None
-    resource_tracker.unregister = lambda *a, **k: None
-    try:
-        yield
-    finally:
-        resource_tracker.register = orig_register
-        resource_tracker.unregister = orig_unregister
-
 
 class ProcessCommunicator(Communicator):
-    """Rank endpoint over a full pipe mesh plus a shared-memory plane."""
+    """Rank endpoint over a full pipe mesh."""
 
     def __init__(
         self,
@@ -92,42 +44,23 @@ class ProcessCommunicator(Communicator):
         size: int,
         pipes: dict[int, Connection],
         *,
-        protocol: str = "pickle",
         recv_timeout: float = 300.0,
-        use_segments: bool = True,
-        segment_min: int | None = None,
     ) -> None:
-        super().__init__(rank, size, protocol)
+        super().__init__(rank, size)
         self._pipes = pipes  # peer rank -> Connection
         self._stash: list[tuple[int, int, Any]] = []
-        self._protocol = protocol
         self._recv_timeout = float(recv_timeout)
-        self._use_segments = bool(use_segments)
-        self._segment_min = wire.resolve_segment_min(segment_min)
         self.wire.counts_messages = True  # real transport, real counts
-        #: reader-side segment handles whose zero-copy views may still be
-        #: alive; retired (closed) as soon as the views die.
-        self._open_segments: list = []
-        #: creator-side append-only arena: offsets never reused, so peer
-        #: views stay valid for the communicator's lifetime.
-        self._arena = None
-        self._arena_used = 0
-        self._old_arenas: list = []  # outgrown arenas, unlinked at quiesce
-        #: per-peer cached arena attachments: peer -> (name, SharedMemory)
-        self._peer_arenas: dict[int, tuple[str, Any]] = {}
-        self._needs_quiesce = False
 
     # -- blob plumbing -------------------------------------------------------
 
     def _pack(self, src: int, tag: int, obj: Any, *, count: bool = True) -> bytes:
         """Serialize one ``(src, tag, payload)`` message exactly once.
 
-        ``count=False`` marks control traffic (segment names, acks, ring
+        ``count=False`` marks control traffic (barrier tokens, ring
         forwards) whose serialization is not payload work.
         """
-        return wire.pack_message(
-            (src, tag, obj), self._protocol, self.wire if count else None
-        )
+        return wire.pack_message((src, tag, obj), self.wire if count else None)
 
     def _send_raw(self, blob: bytes, dest: int) -> None:
         try:
@@ -142,8 +75,8 @@ class ProcessCommunicator(Communicator):
         self.wire.wire_out += len(blob)
 
     def _send_ctrl(self, blob: bytes, dest: int, *, payload_bytes: int = 0) -> None:
-        """Ship a control message; ``payload_bytes`` of it (an inlined or
-        ring-forwarded frame) count on the payload plane, the envelope on
+        """Ship a control message; ``payload_bytes`` of it (a
+        ring-forwarded blob) count on the payload plane, the envelope on
         the control plane."""
         self._send_raw(blob, dest)
         self.wire.wire_out += payload_bytes
@@ -193,184 +126,34 @@ class ProcessCommunicator(Communicator):
     # -- collectives ---------------------------------------------------------
 
     def allgather(self, obj: Any) -> list[Any]:
+        """Ring allgather of pre-serialized blobs.
+
+        P-1 neighbor hops; each rank pickles its payload once and forwards
+        received blobs verbatim.  A blocking send completes only once the
+        neighbor drains the pipe, so the hop order alternates by rank
+        parity: every send of an even rank meets a receiving odd neighbor,
+        and the sends of odd ranks follow.  With P odd the last rank and
+        rank 0 are both even, which makes a chain, not a cycle.
+        """
         if self.size == 1:
             return [obj]
-        if self._protocol == "typed":
-            if self._use_segments:
-                return self._allgather_segments(obj)
-            return self._allgather_ring(obj)
-        # Legacy pickle protocol: mesh fan-out, but the payload is still
-        # serialized once and the same blob shipped to every peer.  Phased
-        # pairwise exchange (send to rank+d while rank+d receives from us)
-        # keeps the mesh deadlock-free even when a blob exceeds the pipe
-        # buffer — every blocking send has a matching receive posted in
-        # the same phase.
-        blob = self._pack(self.rank, _TAG_GATHER, obj)
-        out: list[Any] = [None] * self.size
-        out[self.rank] = obj
-        for d in range(1, self.size):
-            self._send_blob(blob, (self.rank + d) % self.size)
-            peer = (self.rank - d) % self.size
-            out[peer] = self.recv(peer, tag=_TAG_GATHER)
-        return out
-
-    def _allgather_segments(self, obj: Any) -> list[Any]:
-        """Shared-memory allgather: arena writes + dissemination exchange.
-
-        Payload plane — each rank owns one append-only ``SharedMemory``
-        arena for the communicator's lifetime: a round encodes its frame
-        once into the next 8-aligned offset (a memcpy, no syscalls) and
-        peers decode read-only zero-copy views straight out of the arena,
-        attaching it once (cached per origin).  Offsets are never reused,
-        so a view handed to the caller stays valid forever.  When an
-        arena fills up, a bigger one replaces it (geometric growth); the
-        outgrown arena stays mapped for live views and is unlinked at
-        :meth:`quiesce`/:meth:`close` after a barrier proves every peer
-        is done reading.
-
-        Control plane — only ``("s", origin, name, offset, nbytes)``
-        descriptors travel over the pipes, via a dissemination exchange:
-        at hop ``h = 1, 2, 4, …`` each rank sends every descriptor it
-        knows to ``rank+h`` and merges the batch from ``rank-h``, so all
-        P descriptors arrive in ceil(log2 P) messages per rank instead of
-        the mesh's P-1 — the payload never rides the pipes at all.  Each
-        hop's send has a matching receive posted by its partner in the
-        same hop, so the schedule cannot deadlock.
-
-        Payloads below the segment-min threshold — and ranks whose arena
-        creation fails (shm exhausted) — degrade to an ``("i", origin,
-        blob)`` descriptor carrying the frame itself, forwarded verbatim
-        (serialize-once) along the same hops; peers handle both variants
-        per origin, so no global agreement is needed.
-        """
-        w = self.wire
-        entry = None
-        if payload_nbytes(obj) >= self._segment_min:
-            entry = self._arena_write(obj)
-        if entry is not None:
-            name, off, nbytes = entry
-            mine: tuple = ("s", self.rank, name, off, nbytes)
-        else:
-            mine = ("i", self.rank, wire.pack_message(obj, "typed", w))
-        known: dict[int, tuple] = {self.rank: mine}
-        hop = 1
-        while hop < self.size:
-            dest = (self.rank + hop) % self.size
-            srcp = (self.rank - hop) % self.size
-            batch = list(known.values())
-            inline_bytes = sum(len(e[2]) for e in batch if e[0] == "i")
-            env = self._pack(self.rank, _TAG_GATHER, batch, count=False)
-            self._send_ctrl(env, dest, payload_bytes=inline_bytes)
-            for e in self.recv(srcp, tag=_TAG_GATHER):
-                origin = e[1]
-                if origin not in known:
-                    # Normalize forwarded inline blobs to bytes so they
-                    # re-encode cleanly on the next hop.
-                    known[origin] = (
-                        (e[0], origin, bytes(e[2])) if e[0] == "i" else tuple(e)
-                    )
-            hop <<= 1
-        out: list[Any] = [None] * self.size
-        out[self.rank] = obj
-        saw_segment = entry is not None
-        for origin in range(self.size):
-            if origin == self.rank:
-                continue
-            e = known.get(origin)
-            if e is None:  # pragma: no cover - dissemination covers all P
-                raise CommunicatorError(
-                    f"allgather missing descriptor for rank {origin}"
-                )
-            if e[0] == "s":
-                _, _, pname, poff, pnbytes = e
-                view = self._arena_view(origin, pname, poff, pnbytes)
-                out[origin] = wire.decode(view)
-                w.wire_in += pnbytes
-                saw_segment = True
-            else:
-                out[origin] = wire.unpack_message(e[2])
-        if saw_segment:
-            # Every rank sees the full descriptor set, so the flag — and
-            # hence participation in the quiesce barrier — is globally
-            # consistent.
-            self._needs_quiesce = True
-            w.note_segment_round(self._mapped_segment_bytes())
-        return out
-
-    def _arena_write(self, obj: Any) -> tuple[str, int, int] | None:
-        """Encode ``obj`` into the own arena; returns ``(name, offset,
-        nbytes)`` or ``None`` when shared memory is unavailable."""
-        from multiprocessing import shared_memory  # noqa: PLC0415
-
-        w = self.wire
-        frame = wire.encode(obj)
-        need = frame.nbytes
-        if self._arena is None or self._arena_used + need > self._arena.size:
-            size = max(need, _ARENA_MIN_BYTES)
-            if self._arena is not None:
-                size = max(size, 2 * self._arena.size)
-            try:
-                with _untracked_shm():
-                    arena = shared_memory.SharedMemory(create=True, size=size)
-            except OSError:  # pragma: no cover - shm exhausted
-                return None
-            if self._arena is not None:
-                self._old_arenas.append(self._arena)
-            self._arena = arena
-            self._arena_used = 0
-        off = self._arena_used
-        frame.write_into(memoryview(self._arena.buf)[off : off + need])
-        self._arena_used = (off + need + 7) & ~7  # keep offsets 8-aligned
-        w.count_ser(need, pickled=frame.n_pickled)
-        w.wire_out += need
-        w.segment_bytes += need
-        return (self._arena.name, off, need)
-
-    def _arena_view(self, peer: int, name: str, off: int, nbytes: int):
-        """Read-only view into a peer's arena, attaching (once) on first
-        use or when the peer outgrew into a new arena."""
-        from multiprocessing import shared_memory  # noqa: PLC0415
-
-        cached = self._peer_arenas.get(peer)
-        if cached is None or cached[0] != name:
-            with _untracked_shm():
-                seg = shared_memory.SharedMemory(name=name)
-            if cached is not None:
-                # Outgrown peer arena: keep mapped while views live.
-                self._open_segments.append(cached[1])
-            self._peer_arenas[peer] = (name, seg)
-        else:
-            seg = cached[1]
-        return memoryview(seg.buf)[off : off + nbytes].toreadonly()
-
-    def _mapped_segment_bytes(self) -> int:
-        total = self._arena.size if self._arena is not None else 0
-        for _, seg in self._peer_arenas.values():
-            total += seg.size
-        return total
-
-    def _allgather_ring(self, obj: Any) -> list[Any]:
-        """Ring allgather of pre-serialized blobs (segments disabled).
-
-        P-1 neighbor hops; each rank serializes its payload once and
-        forwards received blobs verbatim — the copy pattern of a real MPI
-        allgather on a network, which is what the platform models replay.
-        """
-        w = self.wire
-        blob = wire.pack_message(obj, "typed", w)
         out: list[Any] = [None] * self.size
         out[self.rank] = obj
         nxt = (self.rank + 1) % self.size
         prv = (self.rank - 1) % self.size
-        cur = blob
+        send_first = self.rank % 2 == 0
+        cur = wire.pack_message(obj, self.wire)
         for step in range(1, self.size):
             tag = _TAG_RING_BASE - step
+            # The forwarded blob is payload moved; the envelope is not.
             env = self._pack(self.rank, tag, cur, count=False)
-            # The forwarded frame is payload moved; the envelope is not.
-            self._send_ctrl(env, nxt, payload_bytes=len(cur))
+            sent = len(cur)
+            if send_first:
+                self._send_ctrl(env, nxt, payload_bytes=sent)
             cur = self.recv(prv, tag=tag)
-            origin = (self.rank - step) % self.size
-            out[origin] = wire.unpack_message(cur)
+            if not send_first:
+                self._send_ctrl(env, nxt, payload_bytes=sent)
+            out[(self.rank - step) % self.size] = wire.unpack_message(cur)
         return out
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
@@ -388,71 +171,13 @@ class ProcessCommunicator(Communicator):
             return obj
         return self.recv(root, tag=_TAG_BCAST)
 
-    # -- segment bookkeeping -------------------------------------------------
 
-    def _retire_segments(self) -> None:
-        """Close reader-side handles whose zero-copy views have died
-        (closing while views are alive raises ``BufferError`` — those
-        handles are kept for the next attempt)."""
-        kept = []
-        for seg in self._open_segments:
-            try:
-                seg.close()
-            except BufferError:
-                kept.append(seg)
-        self._open_segments = kept
-
-    def _release_arenas(self) -> None:
-        """Close + unlink every creator-side arena (current + outgrown)."""
-        arenas = self._old_arenas + ([self._arena] if self._arena else [])
-        self._arena = None
-        self._arena_used = 0
-        self._old_arenas = []
-        with _untracked_shm():
-            for seg in arenas:
-                try:
-                    seg.close()
-                except BufferError:  # pragma: no cover - views linger
-                    pass
-                try:
-                    seg.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
-
-    def quiesce(self) -> None:
-        """Drain the shared-memory plane after the SPMD body succeeds.
-
-        Completing the barrier proves every rank finished its last
-        collective — hence read everything it will ever read from this
-        rank's arenas — so unlinking is safe.  Skipped entirely when no
-        round ever used a segment (the flag is globally consistent, see
-        :meth:`_allgather_segments`)."""
-        if self._needs_quiesce and self.size > 1:
-            self.barrier()
-            self._needs_quiesce = False
-        self._release_arenas()
-
-    def close(self) -> None:
-        """Best-effort teardown (error paths included): unlink the own
-        arenas even if some peer may still be reading — the run is
-        already failing — and drop whatever reader handles can close."""
-        self._release_arenas()
-        for _, seg in self._peer_arenas.values():
-            self._open_segments.append(seg)
-        self._peer_arenas = {}
-        self._retire_segments()
-
-
-def _worker(rank, size, fan, fn, args, kwargs, result_conn, comm_kwargs):
-    comm = ProcessCommunicator(rank, size, fan, **(comm_kwargs or {}))
+def _worker(rank, size, fan, fn, args, kwargs, result_conn, recv_timeout):
+    comm = ProcessCommunicator(rank, size, fan, recv_timeout=recv_timeout)
     try:
-        out = fn(comm, *args, **kwargs)
-        comm.quiesce()
-        result_conn.send(("ok", out))
+        result_conn.send(("ok", fn(comm, *args, **kwargs)))
     except BaseException as exc:  # noqa: BLE001 - marshalled to parent
         result_conn.send(("error", repr(exc)))
-    finally:
-        comm.close()
 
 
 class ProcessEngine:
@@ -460,18 +185,18 @@ class ProcessEngine:
 
     name = "process"
 
-    def __init__(
-        self,
-        *,
-        wire_protocol: str | None = None,
-        comm_timeout: float | None = None,
-        use_segments: bool | None = None,
-    ) -> None:
-        self.wire_protocol = wire.resolve_protocol(wire_protocol)
+    def __init__(self, *, comm_timeout: float | None = None) -> None:
         self.comm_timeout = wire.resolve_timeout(comm_timeout)
-        self.use_segments = wire.segments_enabled(use_segments)
 
     def run(self, fn, size: int, args: tuple = (), kwargs: dict | None = None) -> list[Any]:
+        """Run ``fn(comm, *args, **kwargs)`` on every rank; returns per-rank
+        results.
+
+        The parent waits on the result pipes and the process sentinels
+        together, so the first rank that reports an error or exits without
+        a result fails the run at once: the surviving ranks are terminated
+        and :class:`CommunicatorError` names the failed rank.
+        """
         kwargs = kwargs or {}
         ctx = mp.get_context("fork")
         # Full mesh of pipes: mesh[i][j] is i's endpoint to j.
@@ -481,16 +206,12 @@ class ProcessEngine:
                 a, b = ctx.Pipe(duplex=True)
                 mesh[i][j] = a
                 mesh[j][i] = b
-        comm_kwargs = {
-            "protocol": self.wire_protocol,
-            "recv_timeout": self.comm_timeout,
-            "use_segments": self.use_segments,
-        }
         result_pipes = [ctx.Pipe(duplex=False) for _ in range(size)]
         procs = [
             ctx.Process(
                 target=_worker,
-                args=(r, size, mesh[r], fn, args, kwargs, result_pipes[r][1], comm_kwargs),
+                args=(r, size, mesh[r], fn, args, kwargs, result_pipes[r][1],
+                      self.comm_timeout),
                 name=f"proc-rank-{r}",
             )
             for r in range(size)
@@ -498,22 +219,40 @@ class ProcessEngine:
         for p in procs:
             p.start()
         results: list[Any] = [None] * size
-        errors: list[str | None] = [None] * size
-        result_timeout = max(600.0, 2.0 * self.comm_timeout)
-        for r, (rx, _tx) in enumerate(result_pipes):
-            if rx.poll(timeout=result_timeout):
-                status, payload = rx.recv()
-                if status == "ok":
-                    results[r] = payload
+        failed: list[str] = []
+        waiting = {r: (result_pipes[r][0], procs[r].sentinel) for r in range(size)}
+        deadline = time.monotonic() + max(600.0, 2.0 * self.comm_timeout)
+        while waiting and not failed:
+            handles = [h for pair in waiting.values() for h in pair]
+            ready = wait(handles, timeout=max(0.0, deadline - time.monotonic()))
+            if not ready:
+                failed = [f"rank {r}: timed out" for r in waiting]
+                break
+            for r, (rx, sentinel) in list(waiting.items()):
+                # Poll the pipe even when only the sentinel fired: a rank
+                # writes its result before it exits.
+                if rx.poll():
+                    status, payload = rx.recv()
+                    if status == "ok":
+                        results[r] = payload
+                    else:
+                        failed.append(f"rank {r}: {payload}")
+                elif sentinel in ready:
+                    procs[r].join()
+                    failed.append(
+                        f"rank {r} exited with code {procs[r].exitcode} "
+                        "before returning a result"
+                    )
                 else:
-                    errors[r] = payload
-            else:
-                errors[r] = "timed out"
+                    continue
+                del waiting[r]
         for p in procs:
+            if failed and p.is_alive():
+                p.terminate()
             p.join(timeout=30.0)
             if p.is_alive():  # pragma: no cover - stuck worker
-                p.terminate()
-        failed = [f"rank {r}: {e}" for r, e in enumerate(errors) if e is not None]
+                p.kill()
+                p.join()
         if failed:
             raise CommunicatorError("; ".join(failed))
         return results

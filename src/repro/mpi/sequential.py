@@ -61,17 +61,14 @@ class _Scheduler:
 class SequentialCommunicator(Communicator):
     """Rank endpoint of the sequential engine."""
 
-    def __init__(
-        self, rank: int, size: int, world: "_World", *, protocol: str = "pickle"
-    ) -> None:
-        super().__init__(rank, size, protocol)
+    def __init__(self, rank: int, size: int, world: "_World") -> None:
+        super().__init__(rank, size)
         self._world = world
-        self._protocol = protocol
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         if not (0 <= dest < self.size):
             raise CommunicatorError(f"send to invalid rank {dest}")
-        blob = wire.pack_message(obj, self._protocol, self.wire)
+        blob = wire.pack_message(obj, self.wire)
         self.wire.wire_out += len(blob)
         self._world.mail[dest].append((self.rank, tag, blob))
 
@@ -92,7 +89,7 @@ class SequentialCommunicator(Communicator):
         self._rendezvous("barrier", None)
 
     def allgather(self, obj: Any) -> list[Any]:
-        blob = wire.pack_message(obj, self._protocol, self.wire)
+        blob = wire.pack_message(obj, self.wire)
         self.wire.wire_out += len(blob)
         slots = self._rendezvous("allgather", blob)
         out = []
@@ -138,8 +135,7 @@ class SequentialEngine:
 
     name = "sequential"
 
-    def __init__(self, *, wire_protocol: str | None = None, comm_timeout: float | None = None) -> None:
-        self.wire_protocol = wire.resolve_protocol(wire_protocol)
+    def __init__(self, *, comm_timeout: float | None = None) -> None:
         self.comm_timeout = wire.resolve_timeout(comm_timeout)
 
     def run(self, fn, size: int, args: tuple = (), kwargs: dict | None = None) -> list[Any]:
@@ -150,7 +146,7 @@ class SequentialEngine:
         errors: list[BaseException | None] = [None] * size
 
         def worker(rank: int) -> None:
-            comm = SequentialCommunicator(rank, size, world, protocol=self.wire_protocol)
+            comm = SequentialCommunicator(rank, size, world)
             try:
                 sched.wait_turn(rank)
                 results[rank] = fn(comm, *args, **kwargs)

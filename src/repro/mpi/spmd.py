@@ -23,30 +23,24 @@ def available_parallelism(cap: int = 8) -> int:
     return max(1, min(cap, os.cpu_count() or 1))
 
 
-def get_engine(
-    backend: BackendName,
-    *,
-    wire_protocol: str | None = None,
-    comm_timeout: float | None = None,
-):
+def get_engine(backend: BackendName, *, comm_timeout: float | None = None):
     """Instantiate an engine by name (lazy imports keep multiprocessing out
     of sequential-only runs).
 
-    ``wire_protocol``/``comm_timeout`` default from the environment
-    (``REPRO_WIRE_PROTOCOL``, ``REPRO_COMM_TIMEOUT_S``) when ``None``.
+    ``comm_timeout`` defaults from ``REPRO_COMM_TIMEOUT_S`` when ``None``.
     """
     if backend == "sequential":
         from repro.mpi.sequential import SequentialEngine  # noqa: PLC0415
 
-        return SequentialEngine(wire_protocol=wire_protocol, comm_timeout=comm_timeout)
+        return SequentialEngine(comm_timeout=comm_timeout)
     if backend == "thread":
         from repro.mpi.threads import ThreadEngine  # noqa: PLC0415
 
-        return ThreadEngine(wire_protocol=wire_protocol, comm_timeout=comm_timeout)
+        return ThreadEngine(comm_timeout=comm_timeout)
     if backend == "process":
         from repro.mpi.process import ProcessEngine  # noqa: PLC0415
 
-        return ProcessEngine(wire_protocol=wire_protocol, comm_timeout=comm_timeout)
+        return ProcessEngine(comm_timeout=comm_timeout)
     raise CommunicatorError(f"unknown backend {backend!r}")
 
 
@@ -57,7 +51,6 @@ def run_spmd(
     backend: BackendName = "sequential",
     args: tuple = (),
     kwargs: dict | None = None,
-    wire_protocol: str | None = None,
     comm_timeout: float | None = None,
 ) -> list[Any]:
     """Run ``fn(comm, *args, **kwargs)`` on ``size`` ranks; returns the
@@ -70,7 +63,7 @@ def run_spmd(
     """
     if size < 1:
         raise CommunicatorError("size must be >= 1")
-    engine = get_engine(backend, wire_protocol=wire_protocol, comm_timeout=comm_timeout)
+    engine = get_engine(backend, comm_timeout=comm_timeout)
     return engine.run(fn, size, args=args, kwargs=kwargs or {})
 
 

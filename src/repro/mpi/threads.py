@@ -3,12 +3,9 @@
 NumPy releases the GIL inside its kernels, so the heavy phases (candidate
 generation, SVD rank tests) overlap to the extent the host has cores;
 regardless of overlap the *semantics* are those of a distributed-memory
-run — ranks share nothing except explicit messages.  Under the legacy
-``pickle`` protocol payloads are deep copies; under the ``typed``
-protocol a payload is framed once into a bytes blob and every receiver
-decodes zero-copy ``writeable=False`` array views of it — a rank cannot
-corrupt a peer because the views refuse mutation, and nothing aliases
-the sender's live arrays (the frame is its own buffer).
+run — ranks share nothing except explicit messages.  A payload is
+pickled once into a bytes blob and every receiver unpickles its own
+private copy, so a rank can never corrupt a peer's arrays.
 """
 
 from __future__ import annotations
@@ -45,14 +42,12 @@ class ThreadCommunicator(Communicator):
         rank: int,
         shared: _SharedState,
         *,
-        protocol: str = "pickle",
         recv_timeout: float = 120.0,
     ) -> None:
-        super().__init__(rank, shared.size, protocol)
+        super().__init__(rank, shared.size)
         self._shared = shared
         self._stash: list[tuple[int, int, bytes]] = []
         self._phase = 0
-        self._protocol = protocol
         self._recv_timeout = float(recv_timeout)
 
     def _unpack(self, blob: bytes) -> Any:
@@ -62,7 +57,7 @@ class ThreadCommunicator(Communicator):
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         if not (0 <= dest < self.size):
             raise CommunicatorError(f"send to invalid rank {dest}")
-        blob = wire.pack_message(obj, self._protocol, self.wire)
+        blob = wire.pack_message(obj, self.wire)
         self.wire.wire_out += len(blob)
         self._shared.mailboxes[dest].put((self.rank, tag, blob))
 
@@ -95,9 +90,9 @@ class ThreadCommunicator(Communicator):
         shared = self._shared
         slots = shared.slots[self._phase]
         self._phase ^= 1
-        # One serialization, deposited once; every reader decodes straight
-        # from the shared blob (typed: zero-copy read-only array views).
-        blob = wire.pack_message(obj, self._protocol, self.wire)
+        # One serialization, deposited once; every reader unpickles its
+        # own copy from the shared blob.
+        blob = wire.pack_message(obj, self.wire)
         self.wire.wire_out += len(blob)
         slots[self.rank] = blob
         try:
@@ -123,13 +118,7 @@ class ThreadEngine:
 
     name = "thread"
 
-    def __init__(
-        self,
-        *,
-        wire_protocol: str | None = None,
-        comm_timeout: float | None = None,
-    ) -> None:
-        self.wire_protocol = wire.resolve_protocol(wire_protocol)
+    def __init__(self, *, comm_timeout: float | None = None) -> None:
         self.comm_timeout = wire.resolve_timeout(comm_timeout)
 
     def run(self, fn, size: int, args: tuple = (), kwargs: dict | None = None) -> list[Any]:
@@ -144,7 +133,6 @@ class ThreadEngine:
             comm = ThreadCommunicator(
                 rank,
                 shared,
-                protocol=self.wire_protocol,
                 recv_timeout=self.comm_timeout,
             )
             try:

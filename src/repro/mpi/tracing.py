@@ -8,12 +8,12 @@ specs to produce the modeled "communicate" column of the paper's tables.
 
 Two byte measures coexist per event.  The *logical* sizes (``bytes_out``/
 ``bytes_in``, via :func:`payload_nbytes`) describe the payload contents
-and are stable across wire protocols — they are what the scaling tables
+and are stable across transports — they are what the scaling tables
 compare.  The *measured* wire counters (``ser_bytes``/``n_ser``/
 ``wire_out``/``wire_in``, taken as deltas of the backend's
 :class:`~repro.mpi.wire.WireCounters` around the operation) describe what
 the transport actually did: how many times the payload was serialized,
-how many framed-or-pickled bytes were produced, and how many bytes moved.
+how many pickled bytes were produced, and how many bytes moved.
 Platform replay prefers the measured sizes when present (see
 ``modeled_bytes_sent``) and falls back to the logical ones for
 hand-built traces.
@@ -33,8 +33,8 @@ class CommEvent:
 
     The trailing keyword fields carry measured wire-counter deltas;
     their defaults (``0`` / ``-1`` = "not measured") keep hand-built
-    positional events — and traces recorded before the typed wire
-    protocol existed — meaningful.
+    positional events — and traces recorded before the wire counters
+    existed — meaningful.
     """
 
     kind: str  # "send" | "recv" | "allgather" | "barrier" | "bcast"
@@ -71,9 +71,8 @@ class CommTrace:
     @property
     def n_messages(self) -> int:
         """Transport messages this rank sent: the measured count when the
-        backend records one (the process backend does — e.g. an allgather
-        over the shared-memory plane is ceil(log2 P) descriptor messages,
-        a pickle mesh P-1 payload sends), else the legacy mesh estimate
+        backend records one (the process backend does — its ring
+        allgather is P-1 forwarding sends), else the legacy mesh estimate
         (allgather among P ranks as P-1 sends)."""
         out = 0
         for e in self.events:
@@ -105,7 +104,7 @@ class CommTrace:
     @property
     def wire_bytes_sent(self) -> int:
         """Bytes physically handed to the transport (pipe writes, slot
-        deposits, segment writes); logical sizes where not measured."""
+        deposits); logical sizes where not measured."""
         return sum(e.wire_out if e.wire_out >= 0 else e.bytes_out for e in self.events)
 
     @property
@@ -115,10 +114,9 @@ class CommTrace:
     @property
     def modeled_bytes_sent(self) -> int:
         """Outbound volume a real network transport would move: the
-        serialized payload travels once per peer for collectives (the
-        shared-memory plane's single segment write still reaches P-1
-        readers), measured wire bytes for point-to-point, logical sizes
-        for unmeasured events."""
+        serialized payload travels once per peer for collectives (a slot
+        deposit still reaches P-1 readers), measured wire bytes for
+        point-to-point, logical sizes for unmeasured events."""
         out = 0
         for e in self.events:
             if e.kind in ("allgather", "bcast") and e.n_ser > 0:
@@ -144,7 +142,7 @@ class TracingCommunicator(Communicator):
     """Transparent tracing wrapper around another communicator."""
 
     def __init__(self, inner: Communicator, trace: CommTrace | None = None) -> None:
-        super().__init__(inner.rank, inner.size, inner.wire.protocol)
+        super().__init__(inner.rank, inner.size)
         self.inner = inner
         # Share the backend's counters so callers reading either object
         # see the same totals.

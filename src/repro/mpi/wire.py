@@ -1,314 +1,20 @@
-"""Typed zero-copy wire codec for the message-passing substrate.
+"""Wire serialization and transport accounting of the message-passing
+substrate.
 
-The parallel Nullspace Algorithm is bulk-synchronous and its hot payloads
-have a handful of known shapes: ndarrays, tuples of ndarrays (the deferred
-pipeline's ``CandidateBatch.to_wire`` triple, the distributed variant's
-active-mode 4-tuple), and small scalars/None for control traffic.  Generic
-``pickle`` serializes those shapes correctly but wastefully — every peer
-of a mesh allgather re-pickled the same object, and every receiver paid a
-full deep copy on load.
-
-This module frames a known payload into **one contiguous blob** via the
-buffer protocol:
-
-``[prefix 16B][typed header][pad][buffer 0][pad][buffer 1]...``
-
-* the prefix is ``(magic "RWF1", version, header_len, data_start)``;
-* the header is a compact recursive type tree (tag bytes plus struct-packed
-  scalars, dtype/shape metadata for arrays, child counts for containers);
-* array payload bytes land in the data section, 8-byte aligned, in header
-  walk order — no per-buffer offsets are stored, decode re-derives them.
-
-Encoding touches each array's memory exactly once (the memcpy into the
-output blob — or directly into a shared-memory segment via
-:meth:`Frame.write_into`).  Decoding allocates **nothing** for array
-payloads: ``np.frombuffer`` views into the (read-only) blob are returned
-with ``writeable=False``, so a receiver can never corrupt the sender.
-Unknown payload types fall back to an embedded pickle node — the escape
-hatch that keeps the codec total.
-
-The codec is deliberately independent of any communicator: backends call
-:func:`encode` / :func:`decode` and account the byte counts in their
-:class:`WireCounters`.
+Every backend ships a payload as one ``pickle.HIGHEST_PROTOCOL`` blob,
+serialized **once** per message or collective no matter how many peers
+receive it; receivers unpickle private, writable copies.  Backends call
+:func:`pack_message` / :func:`unpack_message` and account the byte counts
+in their :class:`WireCounters`.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import struct
 from typing import Any
 
-import numpy as np
-
 from repro.errors import CommunicatorError
-
-
-class WireError(CommunicatorError):
-    """Malformed frame or unencodable payload with fallback disabled."""
-
-
-#: First bytes of every frame.  Pickle streams start with ``b"\x80"``
-#: (PROTO opcode) for every protocol this package emits, so sniffing the
-#: magic cleanly separates framed from pickled blobs on a shared pipe.
-MAGIC = b"RWF1"
-VERSION = 1
-
-_PREFIX = struct.Struct("<4sIII")  # magic, version, header_len, data_start
-_ALIGN = 8
-
-# Header tags (one byte each).
-_T_NONE = 0
-_T_TRUE = 1
-_T_FALSE = 2
-_T_INT = 3  # 64-bit signed; wider ints take the pickle path
-_T_FLOAT = 4
-_T_STR = 5
-_T_BYTES = 6
-_T_ARRAY = 7
-_T_TUPLE = 8
-_T_LIST = 9
-_T_PICKLE = 10
-
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
-
-def _align(n: int) -> int:
-    return (n + _ALIGN - 1) & ~(_ALIGN - 1)
-
-
-class Frame:
-    """An encoded payload: typed header plus zero-copy buffer references.
-
-    The buffers still alias the caller's arrays — nothing has been copied
-    yet.  :meth:`to_bytes` materializes the one contiguous blob;
-    :meth:`write_into` performs the same single copy into caller-provided
-    memory (a shared-memory segment), skipping the intermediate ``bytes``.
-    """
-
-    __slots__ = ("header", "buffers", "nbytes", "data_start", "n_pickled")
-
-    def __init__(self, header: bytes, buffers: list, n_pickled: int) -> None:
-        self.header = header
-        self.buffers = buffers
-        self.n_pickled = n_pickled
-        self.data_start = _align(_PREFIX.size + len(header))
-        off = self.data_start
-        for buf in buffers:
-            off = _align(off) + buf.nbytes
-        self.nbytes = off
-
-    def write_into(self, target) -> int:
-        """Assemble the frame into ``target`` (a writable buffer of at
-        least :attr:`nbytes` bytes); returns the frame size."""
-        mv = memoryview(target).cast("B")
-        if len(mv) < self.nbytes:
-            raise WireError(
-                f"frame needs {self.nbytes} bytes, target has {len(mv)}"
-            )
-        _PREFIX.pack_into(
-            mv, 0, MAGIC, VERSION, len(self.header), self.data_start
-        )
-        mv[_PREFIX.size : _PREFIX.size + len(self.header)] = self.header
-        off = self.data_start
-        for buf in self.buffers:
-            off = _align(off)
-            n = buf.nbytes
-            if n:  # empty buffers (0-row arrays) carry no data bytes
-                mv[off : off + n] = memoryview(buf).cast("B")
-            off += n
-        return self.nbytes
-
-    def to_bytes(self) -> bytes:
-        out = bytearray(self.nbytes)
-        self.write_into(out)
-        return bytes(out)
-
-
-def encode(obj: Any, *, fallback: bool = True) -> Frame:
-    """Frame a payload; unknown node types become embedded pickle nodes
-    unless ``fallback=False`` (then they raise :class:`WireError`)."""
-    header = bytearray()
-    buffers: list = []
-    n_pickled = _encode_node(obj, header, buffers, fallback)
-    return Frame(bytes(header), buffers, n_pickled)
-
-
-def _encode_node(obj: Any, header: bytearray, buffers: list, fallback: bool) -> int:
-    """Append one node to the header/buffers; returns pickle-node count."""
-    if obj is None:
-        header.append(_T_NONE)
-        return 0
-    t = type(obj)
-    if t is bool:
-        header.append(_T_TRUE if obj else _T_FALSE)
-        return 0
-    if t is int:
-        if _INT64_MIN <= obj <= _INT64_MAX:
-            header.append(_T_INT)
-            header += _I64.pack(obj)
-            return 0
-        return _encode_pickle(obj, header, buffers, fallback)
-    if t is float:
-        header.append(_T_FLOAT)
-        header += _F64.pack(obj)
-        return 0
-    if t is str:
-        raw = obj.encode("utf-8")
-        header.append(_T_STR)
-        header += _U32.pack(len(raw))
-        header += raw
-        return 0
-    if t is bytes or t is bytearray:
-        header.append(_T_BYTES)
-        header += _U64.pack(len(obj))
-        buffers.append(memoryview(obj).cast("B"))
-        return 0
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.hasobject:
-            # Object arrays (exact-arithmetic Fractions) have no buffer
-            # protocol representation — pickle the node.
-            return _encode_pickle(obj, header, buffers, fallback)
-        # ascontiguousarray promotes 0-d to 1-d, so the shape metadata is
-        # taken from the original array.
-        arr = obj if obj.flags.c_contiguous else np.ascontiguousarray(obj)
-        dt = arr.dtype.str.encode("ascii")
-        header.append(_T_ARRAY)
-        header.append(len(dt))
-        header += dt
-        header.append(obj.ndim)
-        for dim in obj.shape:
-            header += _U64.pack(dim)
-        header += _U64.pack(arr.nbytes)
-        buffers.append(arr)
-        return 0
-    if t is tuple or t is list:
-        header.append(_T_TUPLE if t is tuple else _T_LIST)
-        header += _U32.pack(len(obj))
-        n = 0
-        for child in obj:
-            n += _encode_node(child, header, buffers, fallback)
-        return n
-    return _encode_pickle(obj, header, buffers, fallback)
-
-
-def _encode_pickle(obj: Any, header: bytearray, buffers: list, fallback: bool) -> int:
-    if not fallback:
-        raise WireError(f"cannot frame {type(obj).__name__} with fallback off")
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    header.append(_T_PICKLE)
-    header += _U64.pack(len(blob))
-    buffers.append(memoryview(blob))
-    return 1
-
-
-def is_frame(blob) -> bool:
-    """True when ``blob`` starts with a codec frame prefix."""
-    mv = memoryview(blob)
-    return len(mv) >= _PREFIX.size and bytes(mv[:4]) == MAGIC
-
-
-def decode(blob) -> Any:
-    """Rebuild the payload of one frame.
-
-    Array nodes come back as **read-only views** into ``blob`` — zero
-    copies, so the decoded object stays valid exactly as long as ``blob``
-    (or the shared-memory segment backing it) does.  Callers that need the
-    arrays to outlive the blob must copy; the algorithm's merge paths all
-    concatenate (and therefore copy) before the next iteration.
-    """
-    mv = memoryview(blob).cast("B")
-    if not mv.readonly:
-        mv = mv.toreadonly()
-    if len(mv) < _PREFIX.size:
-        raise WireError("truncated frame prefix")
-    magic, version, header_len, data_start = _PREFIX.unpack_from(mv, 0)
-    if magic != MAGIC:
-        raise WireError("bad frame magic")
-    if version != VERSION:
-        raise WireError(f"unsupported frame version {version}")
-    header = mv[_PREFIX.size : _PREFIX.size + header_len]
-    obj, hpos, dpos = _decode_node(header, 0, mv, data_start)
-    if hpos != header_len:
-        raise WireError("trailing header bytes")
-    return obj
-
-
-def _decode_node(header, hpos: int, data, dpos: int):
-    tag = header[hpos]
-    hpos += 1
-    if tag == _T_NONE:
-        return None, hpos, dpos
-    if tag == _T_TRUE:
-        return True, hpos, dpos
-    if tag == _T_FALSE:
-        return False, hpos, dpos
-    if tag == _T_INT:
-        return _I64.unpack_from(header, hpos)[0], hpos + 8, dpos
-    if tag == _T_FLOAT:
-        return _F64.unpack_from(header, hpos)[0], hpos + 8, dpos
-    if tag == _T_STR:
-        n = _U32.unpack_from(header, hpos)[0]
-        hpos += 4
-        return bytes(header[hpos : hpos + n]).decode("utf-8"), hpos + n, dpos
-    if tag == _T_BYTES:
-        n = _U64.unpack_from(header, hpos)[0]
-        hpos += 8
-        dpos = _align(dpos)
-        return bytes(data[dpos : dpos + n]), hpos, dpos + n
-    if tag == _T_ARRAY:
-        dt_len = header[hpos]
-        hpos += 1
-        dtype = np.dtype(bytes(header[hpos : hpos + dt_len]).decode("ascii"))
-        hpos += dt_len
-        ndim = header[hpos]
-        hpos += 1
-        shape = tuple(
-            _U64.unpack_from(header, hpos + 8 * i)[0] for i in range(ndim)
-        )
-        hpos += 8 * ndim
-        nbytes = _U64.unpack_from(header, hpos)[0]
-        hpos += 8
-        dpos = _align(dpos)
-        arr = np.frombuffer(data[dpos : dpos + nbytes], dtype=dtype)
-        return arr.reshape(shape), hpos, dpos + nbytes
-    if tag in (_T_TUPLE, _T_LIST):
-        count = _U32.unpack_from(header, hpos)[0]
-        hpos += 4
-        items = []
-        for _ in range(count):
-            child, hpos, dpos = _decode_node(header, hpos, data, dpos)
-            items.append(child)
-        return (tuple(items) if tag == _T_TUPLE else items), hpos, dpos
-    if tag == _T_PICKLE:
-        n = _U64.unpack_from(header, hpos)[0]
-        hpos += 8
-        dpos = _align(dpos)
-        return pickle.loads(data[dpos : dpos + n]), hpos, dpos + n
-    raise WireError(f"unknown frame tag {tag}")
-
-
-# -- protocol selection --------------------------------------------------------
-
-#: The two wire protocols of the in-process MPI substitutes.
-PROTOCOLS = ("typed", "pickle")
-
-
-def resolve_protocol(value: str | None = None) -> str:
-    """The effective wire protocol: an explicit value, else the
-    ``REPRO_WIRE_PROTOCOL`` environment default, else ``"typed"``."""
-    out = value if value is not None else os.environ.get(
-        "REPRO_WIRE_PROTOCOL", "typed"
-    )
-    if out not in PROTOCOLS:
-        raise WireError(
-            f"unknown wire protocol {out!r}; available: {', '.join(PROTOCOLS)}"
-        )
-    return out
 
 
 def resolve_timeout(value: float | None = None) -> float:
@@ -319,84 +25,34 @@ def resolve_timeout(value: float | None = None) -> float:
     else:
         out = float(os.environ.get("REPRO_COMM_TIMEOUT_S", "300"))
     if out <= 0:
-        raise WireError(f"comm timeout must be positive, got {out}")
+        raise CommunicatorError(f"comm timeout must be positive, got {out}")
     return out
-
-
-DEFAULT_SEGMENT_MIN = 32768
-
-
-def resolve_segment_min(value: int | None = None) -> int:
-    """Minimum logical payload size (bytes) for which the process backend
-    routes an allgather through its shared-memory arena
-    (``REPRO_WIRE_SEGMENT_MIN``, default 32768).  Payloads below the
-    threshold ride inline in the dissemination control messages — the
-    classic eager/rendezvous switch of real MPI implementations: small
-    frames fit the 64 KiB pipe buffer and skip the segment map entirely,
-    while large frames must use the arena anyway (an all-send-then-recv
-    exchange of multi-MB blobs over bounded pipes would deadlock).  Set
-    to 0 to force every typed allgather through the arena."""
-    if value is not None:
-        out = int(value)
-    else:
-        out = int(
-            os.environ.get("REPRO_WIRE_SEGMENT_MIN", str(DEFAULT_SEGMENT_MIN))
-        )
-    if out < 0:
-        raise WireError(f"segment-min threshold must be >= 0, got {out}")
-    return out
-
-
-def segments_enabled(value: bool | None = None) -> bool:
-    """Whether the process backend may use shared-memory allgather
-    segments (``REPRO_WIRE_SEGMENTS=off|ring|none|0`` disables, forcing
-    the ring fallback that models a real MPI network)."""
-    if value is not None:
-        return bool(value)
-    return os.environ.get("REPRO_WIRE_SEGMENTS", "on").lower() not in (
-        "off",
-        "ring",
-        "none",
-        "0",
-    )
 
 
 class WireCounters:
     """Per-communicator transport accounting, updated by every backend.
 
     ``ser_bytes``/``n_ser`` measure serialization *work* (bytes produced
-    by payload encodes/pickles); ``wire_out``/``wire_in`` measure
-    *serialized payload* bytes physically moved through the transport
-    (pipe writes, slot deposits, shared-segment writes) — the quantity
-    the shared-memory allgather collapses from O(P) copies of each
-    payload to one; ``ctrl_out`` separately counts control-plane bytes
-    (segment announcements, ring forwarding envelopes) that a real MPI
-    allgather would not put on the network.  Segment fields track the
-    shared-memory plane: ``last_segment_bytes`` is the total mapped
-    segment footprint of the most recent allgather round, which
-    :meth:`repro.cluster.memory.MemoryModel.note_segments` records.
+    by payload pickles); ``wire_out``/``wire_in`` measure *serialized
+    payload* bytes physically moved through the transport (pipe writes,
+    slot deposits); ``ctrl_out`` separately counts control-plane bytes
+    (barrier tokens, ring forwarding envelopes) that a real MPI allgather
+    would not put on the network.
     """
 
     __slots__ = (
-        "protocol",
         "n_ser",
         "ser_bytes",
-        "n_pickle_fallbacks",
         "wire_out",
         "wire_in",
         "ctrl_out",
         "msgs_out",
         "counts_messages",
-        "segment_bytes",
-        "last_segment_bytes",
-        "peak_segment_bytes",
     )
 
-    def __init__(self, protocol: str = "pickle") -> None:
-        self.protocol = protocol
+    def __init__(self) -> None:
         self.n_ser = 0
         self.ser_bytes = 0
-        self.n_pickle_fallbacks = 0
         self.wire_out = 0
         self.wire_in = 0
         self.ctrl_out = 0
@@ -405,18 +61,10 @@ class WireCounters:
         #: does — simulator backends keep the legacy mesh estimate).
         self.msgs_out = 0
         self.counts_messages = False
-        self.segment_bytes = 0
-        self.last_segment_bytes = 0
-        self.peak_segment_bytes = 0
 
-    def count_ser(self, nbytes: int, *, pickled: int = 0) -> None:
+    def count_ser(self, nbytes: int) -> None:
         self.n_ser += 1
         self.ser_bytes += int(nbytes)
-        self.n_pickle_fallbacks += int(pickled)
-
-    def note_segment_round(self, mapped_bytes: int) -> None:
-        self.last_segment_bytes = int(mapped_bytes)
-        self.peak_segment_bytes = max(self.peak_segment_bytes, int(mapped_bytes))
 
     def snapshot(self) -> tuple[int, int, int, int, int]:
         """(wire_out, wire_in, ser_bytes, n_ser, msgs_out) — tracing
@@ -431,25 +79,14 @@ class WireCounters:
         )
 
 
-def pack_message(
-    obj: Any, protocol: str, counters: WireCounters | None = None
-) -> bytes:
-    """Serialize one payload exactly once under ``protocol``."""
-    if protocol == "typed":
-        frame = encode(obj)
-        blob = frame.to_bytes()
-        if counters is not None:
-            counters.count_ser(len(blob), pickled=frame.n_pickled)
-        return blob
+def pack_message(obj: Any, counters: WireCounters | None = None) -> bytes:
+    """Serialize one payload exactly once."""
     blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     if counters is not None:
-        counters.count_ser(len(blob), pickled=1)
+        counters.count_ser(len(blob))
     return blob
 
 
 def unpack_message(blob) -> Any:
-    """Deserialize a blob produced by :func:`pack_message` (either
-    protocol — frames are sniffed by magic)."""
-    if is_frame(blob):
-        return decode(blob)
+    """Deserialize a blob produced by :func:`pack_message`."""
     return pickle.loads(blob)

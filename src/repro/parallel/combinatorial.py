@@ -227,7 +227,7 @@ def combinatorial_worker(
     if isinstance(comm, TracingCommunicator):
         stats.bytes_sent = comm.trace.bytes_sent
         stats.messages_sent = comm.trace.n_messages
-    collect_wire_stats(comm, stats, memory)
+    collect_wire_stats(comm, stats)
     ctx.collect(stats)
     return NullspaceResult(
         problem=problem, modes=modes, stats=stats, stopped_at=stop
@@ -265,7 +265,6 @@ def combinatorial_parallel(
             "rank_cache": rank_cache,
             "context": ctx,
         },
-        wire_protocol=ctx.options.wire_protocol,
         comm_timeout=ctx.options.comm_timeout_s,
     )
     results = [r for r, _ in outs]

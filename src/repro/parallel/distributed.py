@@ -251,7 +251,7 @@ def distributed_worker(
     if isinstance(comm, TracingCommunicator):
         stats.bytes_sent = comm.trace.bytes_sent
         stats.messages_sent = comm.trace.n_messages
-    collect_wire_stats(comm, stats, None)
+    collect_wire_stats(comm, stats)
     ctx.collect(stats)
     return local, stats
 
@@ -273,7 +273,6 @@ def distributed_parallel(
         backend=backend,
         args=(problem, ctx.options),
         kwargs={"stop_row": stop_row, "context": ctx},
-        wire_protocol=ctx.options.wire_protocol,
         comm_timeout=ctx.options.comm_timeout_s,
     )
     return DistributedRunResult(

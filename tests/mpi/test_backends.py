@@ -1,8 +1,14 @@
 """Cross-backend tests for the message-passing substrate."""
 
+import os
+import signal
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import CommunicatorError
 from repro.mpi.spmd import get_engine, run_spmd
 
@@ -50,13 +56,9 @@ def _job_no_aliasing(comm):
     data = np.zeros(4)
     parts = comm.allgather(data)
     peer = (comm.rank + 1) % comm.size
-    try:
-        parts[peer][:] = 99.0  # a received buffer must never reach the sender
-        mutated = True
-    except ValueError:  # typed protocol: received views are read-only
-        mutated = False
+    parts[peer][:] = 99.0  # a received buffer must never reach the sender
     again = comm.allgather(data)
-    return mutated, float(again[peer].sum())
+    return float(again[peer].sum())
 
 
 def _job_tag_matching(comm):
@@ -117,26 +119,100 @@ class TestCollectives:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestIsolation:
     def test_pickle_copies_do_not_leak(self, backend):
-        outs = run_spmd(
-            _job_no_aliasing, 3, backend=backend, wire_protocol="pickle"
-        )
-        # Legacy protocol: received buffers are private writable copies.
-        assert all(o == (True, 0.0) for o in outs)
-
-    def test_typed_views_are_readonly(self, backend):
-        outs = run_spmd(
-            _job_no_aliasing, 3, backend=backend, wire_protocol="typed"
-        )
-        # Typed protocol: received arrays are zero-copy views with
-        # writeable=False — mutation raises instead of silently copying.
-        assert all(o == (False, 0.0) for o in outs)
+        outs = run_spmd(_job_no_aliasing, 3, backend=backend)
+        # Received buffers are private writable copies.
+        assert outs == [0.0] * 3
 
 
-@pytest.mark.parametrize("backend", ("sequential", "thread"))
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestErrors:
     def test_rank_failure_propagates(self, backend):
         with pytest.raises((ValueError, CommunicatorError)):
             run_spmd(_job_fails_on_rank, 3, backend=backend)
+
+
+_ISOLATED_TIMEOUT_S = 60
+
+
+def _run_isolated(script: str) -> str:
+    """Run ``script`` in a fresh interpreter and return its stdout.
+
+    A hang fails the test after :data:`_ISOLATED_TIMEOUT_S` instead of
+    stalling the suite; the child gets its own session so the rank
+    processes it forks are killed with it.
+    """
+    env = dict(os.environ)
+    env.pop("REPRO_COMM_TIMEOUT_S", None)  # exercise the default timeout
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=_ISOLATED_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"hung for more than {_ISOLATED_TIMEOUT_S}s")
+    assert proc.returncode == 0, err
+    return out
+
+
+_LARGE_ALLGATHER = """
+import numpy as np
+from repro.mpi.spmd import run_spmd
+
+N = {n}
+
+def job(comm):
+    parts = comm.allgather(np.full(N, float(comm.rank)))
+    return [(p.shape, float(p.min()), float(p.max())) for p in parts]
+
+outs = run_spmd(job, {size}, backend="process")
+expected = [((N,), float(r), float(r)) for r in range({size})]
+assert outs == [expected] * {size}, outs
+print("ok")
+"""
+
+_KILLED_RANK = """
+import os, signal, time
+from repro.errors import CommunicatorError
+from repro.mpi.process import ProcessEngine
+
+def job(comm):
+    if comm.rank == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return comm.allgather(comm.rank)
+
+t0 = time.monotonic()
+try:
+    ProcessEngine().run(job, 2)
+except CommunicatorError as exc:
+    print(time.monotonic() - t0)
+    print(exc)
+"""
+
+
+class TestProcessTransport:
+    @pytest.mark.parametrize("size", (2, 3, 5))
+    def test_large_allgather_completes(self, size):
+        # 2 MiB of float64 per rank: far beyond a pipe buffer, so every
+        # hop blocks until its neighbor drains the pipe.
+        out = _run_isolated(_LARGE_ALLGATHER.format(n=1 << 18, size=size))
+        assert out.strip() == "ok"
+
+    def test_killed_rank_fails_fast(self):
+        lines = _run_isolated(_KILLED_RANK).splitlines()
+        assert len(lines) == 2, lines
+        assert float(lines[0]) < 30.0
+        assert "rank 1 exited with code -9" in lines[1]
 
 
 class TestSequentialDeterminism:

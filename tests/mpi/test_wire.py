@@ -1,25 +1,17 @@
-"""Unit tests for the typed wire codec and payload measurement."""
-
-from fractions import Fraction
+"""Unit tests for the wire serialization helpers and payload measurement."""
 
 import numpy as np
 import pytest
 
+from repro.config import AlgorithmOptions
+from repro.errors import CommunicatorError
 from repro.mpi import wire
 from repro.mpi.comm import payload_nbytes
-from repro.mpi.wire import (
-    WireCounters,
-    WireError,
-    decode,
-    encode,
-    is_frame,
-    pack_message,
-    unpack_message,
-)
+from repro.mpi.wire import WireCounters, pack_message, unpack_message
 
 
 def roundtrip(obj):
-    return decode(encode(obj).to_bytes())
+    return unpack_message(pack_message(obj))
 
 
 def deep_equal(a, b):
@@ -41,6 +33,8 @@ def deep_equal(a, b):
 
 
 class TestRoundtrip:
+    """Every payload shape the drivers send survives the wire unchanged."""
+
     @pytest.mark.parametrize(
         "obj",
         [
@@ -78,6 +72,7 @@ class TestRoundtrip:
         out = roundtrip(arr)
         assert out.dtype == arr.dtype and out.shape == arr.shape
         assert np.array_equal(out, arr)
+        assert out.flags.writeable  # a private copy, never a view
 
     def test_noncontiguous_and_fortran(self):
         base = np.arange(24, dtype=np.float64).reshape(4, 6)
@@ -92,108 +87,15 @@ class TestRoundtrip:
         out = roundtrip((words, pi, pj))
         assert deep_equal(out, (words, pi, pj))
 
-    def test_big_int_and_dict_fall_back_to_pickle(self):
-        frame = encode({"a": 1})
-        assert frame.n_pickled == 1
-        assert roundtrip({"a": 1}) == {"a": 1}
-        assert roundtrip(2**100) == 2**100
-
-    def test_object_array_falls_back_to_pickle(self):
-        arr = np.array([Fraction(1, 3), Fraction(2, 5)], dtype=object)
-        frame = encode(arr)
-        assert frame.n_pickled == 1
-        out = decode(frame.to_bytes())
-        assert list(out) == list(arr)
-
-    def test_fallback_off_raises(self):
-        with pytest.raises(WireError):
-            encode({"a": 1}, fallback=False)
-
-
-class TestZeroCopy:
-    def test_decoded_views_are_readonly_and_share_blob(self):
-        arr = np.arange(100, dtype=np.float64)
-        blob = encode(arr).to_bytes()
-        out = decode(blob)
-        assert not out.flags.writeable
-        assert np.shares_memory(out, np.frombuffer(blob, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            out[0] = 1.0
-
-    def test_buffers_are_8_aligned(self):
-        blob = encode((np.arange(3, dtype=np.float64), b"x" * 3,
-                       np.arange(5, dtype=np.int64))).to_bytes()
-        a, _, c = decode(blob)
-        for out in (a, c):
-            addr = out.__array_interface__["data"][0]
-            assert addr % 8 == 0
-
-    def test_write_into_matches_to_bytes(self):
-        frame = encode((np.arange(7, dtype=np.int64), "tag"))
-        buf = bytearray(frame.nbytes)
-        assert frame.write_into(buf) == frame.nbytes
-        assert bytes(buf) == frame.to_bytes()
-
-    def test_write_into_too_small(self):
-        frame = encode(np.arange(16, dtype=np.int64))
-        with pytest.raises(WireError):
-            frame.write_into(bytearray(4))
-
-
-class TestFraming:
-    def test_is_frame_sniffing(self):
-        import pickle
-
-        assert is_frame(encode((1, 2)).to_bytes())
-        assert not is_frame(pickle.dumps((1, 2), pickle.HIGHEST_PROTOCOL))
-        assert not is_frame(b"")
-        assert not is_frame(b"RWF")
-
-    def test_bad_magic_and_version(self):
-        blob = bytearray(encode(1).to_bytes())
-        with pytest.raises(WireError):
-            decode(b"XXXX" + bytes(blob[4:]))
-        bad = bytearray(blob)
-        bad[4] = 99  # version field
-        with pytest.raises(WireError):
-            decode(bytes(bad))
-        with pytest.raises(WireError):
-            decode(b"RW")
-
-    def test_unpack_sniffs_both_protocols(self):
-        payload = (np.arange(4, dtype=np.uint64), "x")
-        for protocol in wire.PROTOCOLS:
-            blob = pack_message(payload, protocol)
-            assert deep_equal(unpack_message(blob), payload)
-
-    def test_typed_frame_smaller_than_pickle_for_wire_tuple(self):
-        words = np.arange(200, dtype=np.uint64).reshape(100, 2)
-        payload = (words, np.arange(100, dtype=np.int32),
-                   np.arange(100, dtype=np.int32))
-        typed = pack_message(payload, "typed")
-        pickled = pack_message(payload, "pickle")
-        assert len(typed) < len(pickled)
-        # Framing overhead over the raw array bytes stays small.
-        raw = sum(a.nbytes for a in payload)
-        assert len(typed) - raw < 128
-
 
 class TestCounters:
     def test_pack_message_counts_once(self):
-        c = WireCounters("typed")
-        blob = pack_message(np.arange(8, dtype=np.float64), "typed", c)
+        c = WireCounters()
+        payload = np.arange(8, dtype=np.float64)
+        blob = pack_message(payload, c)
         assert c.n_ser == 1
         assert c.ser_bytes == len(blob)
-        assert c.n_pickle_fallbacks == 0
-        pack_message({"unknown": 1}, "typed", c)
-        assert c.n_ser == 2 and c.n_pickle_fallbacks == 1
-
-    def test_segment_round_tracks_peak(self):
-        c = WireCounters("typed")
-        c.note_segment_round(100)
-        c.note_segment_round(40)
-        assert c.last_segment_bytes == 40
-        assert c.peak_segment_bytes == 100
+        assert np.array_equal(unpack_message(blob), payload)
 
     def test_snapshot_order(self):
         c = WireCounters()
@@ -203,35 +105,25 @@ class TestCounters:
     def test_ctrl_plane_separate_from_wire_out(self):
         c = WireCounters()
         c.ctrl_out += 96
-        assert c.wire_out == 0  # descriptor/barrier traffic is not payload
+        assert c.wire_out == 0  # barrier/envelope traffic is not payload
 
 
 class TestResolution:
-    def test_resolve_protocol(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WIRE_PROTOCOL", raising=False)
-        assert wire.resolve_protocol() == "typed"
-        assert wire.resolve_protocol("pickle") == "pickle"
-        monkeypatch.setenv("REPRO_WIRE_PROTOCOL", "pickle")
-        assert wire.resolve_protocol() == "pickle"
-        with pytest.raises(WireError):
-            wire.resolve_protocol("msgpack")
-
     def test_resolve_timeout(self, monkeypatch):
         monkeypatch.delenv("REPRO_COMM_TIMEOUT_S", raising=False)
         assert wire.resolve_timeout() == 300.0
         assert wire.resolve_timeout(12.5) == 12.5
         monkeypatch.setenv("REPRO_COMM_TIMEOUT_S", "45")
         assert wire.resolve_timeout() == 45.0
-        with pytest.raises(WireError):
+        with pytest.raises(CommunicatorError):
             wire.resolve_timeout(0)
 
-    def test_segments_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WIRE_SEGMENTS", raising=False)
-        assert wire.segments_enabled() is True
-        assert wire.segments_enabled(False) is False
-        for off in ("off", "ring", "none", "0"):
-            monkeypatch.setenv("REPRO_WIRE_SEGMENTS", off)
-            assert wire.segments_enabled() is False
+    def test_options_default_goes_through_resolve_timeout(self, monkeypatch):
+        monkeypatch.setenv("REPRO_COMM_TIMEOUT_S", "45")
+        assert AlgorithmOptions().comm_timeout_s == 45.0
+        monkeypatch.setenv("REPRO_COMM_TIMEOUT_S", "-1")
+        with pytest.raises(CommunicatorError):
+            AlgorithmOptions()
 
 
 class TestPayloadNbytes:

@@ -1,11 +1,9 @@
-"""Wire-protocol parity: typed codec vs legacy pickle.
+"""Transport parity: the backends are pure transport.
 
-The wire protocol is pure transport — it must never change a single bit
-of any result.  This suite asserts (1) collective/point-to-point results
-are bit-identical across ``wire_protocol`` in {typed, pickle} on every
-backend, and (2) final EFM sets are bit-identical across protocols,
-backends and candidate pipelines, with the yeast-I-small 530-EFM pin as
-the slow acceptance property.
+Moving the per-iteration allgather between the sequential simulator,
+lockstep threads and forked processes must never change a single bit of
+any result.  The slow acceptance property pins the yeast-I-small 530-EFM
+set across backends and both candidate pipelines.
 """
 
 from __future__ import annotations
@@ -15,143 +13,36 @@ import pytest
 
 from repro.config import AlgorithmOptions
 from repro.efm.api import compute_efms
-from repro.mpi.spmd import run_spmd
 from repro.models.generators import random_network
 from repro.models.variants import yeast_1_small
 
-BACKENDS = ("sequential", "thread", "process")
-PROTOCOLS = ("typed", "pickle")
 
-
-def _job_collectives(comm):
-    """Exercise allgather / bcast / send+recv with mixed payloads."""
-    arr = (np.arange(50, dtype=np.float64) + 1) * (comm.rank + 1)
-    words = np.full((3, 2), comm.rank, dtype=np.uint64)
-    g = comm.allgather((words, arr, comm.rank, f"r{comm.rank}"))
-    b = comm.bcast(arr * 2 if comm.rank == 1 else None, root=1)
-    comm.send(arr[:5], (comm.rank + 1) % comm.size, tag=3)
-    p2p = comm.recv((comm.rank - 1) % comm.size, tag=3)
-    return (
-        [(np.asarray(w).copy(), np.asarray(a).copy(), r, s) for w, a, r, s in g],
-        np.asarray(b).copy(),
-        np.asarray(p2p).copy(),
-    )
-
-
-def _canon(outs):
-    """Backend-independent structural form for comparison."""
-    canon = []
-    for g, b, p2p in outs:
-        canon.append(
-            (
-                [(w.tolist(), a.tolist(), r, s) for w, a, r, s in g],
-                b.tolist(),
-                p2p.tolist(),
-            )
-        )
-    return canon
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_collectives_identical_across_protocols(backend):
-    per_protocol = {
-        proto: _canon(
-            run_spmd(_job_collectives, 3, backend=backend, wire_protocol=proto)
-        )
-        for proto in PROTOCOLS
-    }
-    assert per_protocol["typed"] == per_protocol["pickle"]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("pipeline", ("deferred", "eager"))
-def test_efms_identical_across_protocols(backend, pipeline):
-    net = random_network(
-        n_metabolites=5, n_reactions=10, seed=42, reversible_fraction=0.3
-    )
-    runs = {
-        proto: compute_efms(
-            net,
-            method="parallel",
-            n_ranks=2,
-            backend=backend,
-            options=AlgorithmOptions(
-                wire_protocol=proto, candidate_pipeline=pipeline
-            ),
-        )
-        for proto in PROTOCOLS
-    }
-    assert runs["typed"].n_efms == runs["pickle"].n_efms
-    assert np.array_equal(runs["typed"].fluxes, runs["pickle"].fluxes)
-
-
-@pytest.mark.parametrize("proto", PROTOCOLS)
-def test_distributed_efms_identical_across_protocols(proto):
-    net = random_network(n_metabolites=4, n_reactions=9, seed=11)
-    ref = compute_efms(net)
-    run = compute_efms(
-        net,
-        method="distributed",
-        n_ranks=3,
-        options=AlgorithmOptions(wire_protocol=proto),
-    )
-    assert run.n_efms == ref.n_efms
-
-
-def test_wire_stats_populated_typed():
+def test_wire_stats_populated():
     net = random_network(n_metabolites=5, n_reactions=10, seed=7)
-    run = compute_efms(
-        net,
-        method="parallel",
-        n_ranks=2,
-        options=AlgorithmOptions(wire_protocol="typed"),
-    )
+    run = compute_efms(net, method="parallel", n_ranks=2)
     assert run.stats is not None
     assert run.stats.n_serializations > 0
     assert run.stats.ser_bytes > 0
     assert run.stats.wire_bytes_sent > 0
 
 
-def test_typed_serializes_less_than_pickle():
-    """Same run, same logical payloads: the typed frames are tighter and
-    (on fan-out transports) produced fewer times."""
-    net = random_network(n_metabolites=5, n_reactions=10, seed=3)
-    per = {
-        proto: compute_efms(
-            net,
-            method="parallel",
-            n_ranks=4,
-            backend="process",
-            options=AlgorithmOptions(wire_protocol=proto),
-        ).stats
-        for proto in PROTOCOLS
-    }
-    assert per["typed"].ser_bytes < per["pickle"].ser_bytes
-
-
 @pytest.mark.slow
 def test_yeast_small_wire_parity_property():
-    """Acceptance property: yeast-I-small — typed and pickle produce
-    bit-identical EFM sets (530) across backends and both candidate
-    pipelines."""
+    """Acceptance property: yeast-I-small — every backend produces the
+    bit-identical 530-EFM set on both candidate pipelines."""
     net = yeast_1_small()
     ref = None
-    for proto in PROTOCOLS:
-        for pipeline in ("deferred", "eager"):
-            for backend, n_ranks in (("sequential", 4), ("thread", 2), ("process", 2)):
-                run = compute_efms(
-                    net,
-                    method="parallel",
-                    n_ranks=n_ranks,
-                    backend=backend,
-                    options=AlgorithmOptions(
-                        wire_protocol=proto, candidate_pipeline=pipeline
-                    ),
-                )
-                assert run.n_efms == 530, (proto, pipeline, backend)
-                if ref is None:
-                    ref = run.fluxes
-                else:
-                    assert np.array_equal(run.fluxes, ref), (
-                        proto, pipeline, backend,
-                    )
+    for pipeline in ("deferred", "eager"):
+        for backend, n_ranks in (("sequential", 4), ("thread", 2), ("process", 2)):
+            run = compute_efms(
+                net,
+                method="parallel",
+                n_ranks=n_ranks,
+                backend=backend,
+                options=AlgorithmOptions(candidate_pipeline=pipeline),
+            )
+            assert run.n_efms == 530, (pipeline, backend)
+            if ref is None:
+                ref = run.fluxes
+            else:
+                assert np.array_equal(run.fluxes, ref), (pipeline, backend)
