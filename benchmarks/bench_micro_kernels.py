@@ -9,8 +9,8 @@ measured host-side analogue of the calibrated Calhoun/Blue Gene/P rates.
 import numpy as np
 import pytest
 
-from repro.config import AlgorithmOptions
-from repro.core.candidates import full_range, generate_candidates
+from repro.cluster.memory import DEFAULT_PAIR_CHUNK
+from repro.core.candidates import full_range, survivor_chunks
 from repro.core.ranktest import rank_test
 from repro.core.state import ModeMatrix
 from repro.core.stats import IterationStats
@@ -48,13 +48,13 @@ def test_bench_pair_generation(benchmark, medium_modes):
 
     def gen():
         stats = IterationStats(position=k, reaction="x", reversible=False)
-        return generate_candidates(
-            modes, k, pos, neg, full_range(n_pairs), problem.rank,
-            AlgorithmOptions(), stats,
-        )
+        return list(survivor_chunks(
+            modes, k, pos, neg, full_range(n_pairs), problem.rank, stats,
+            chunk_pairs=DEFAULT_PAIR_CHUNK,
+        ))
 
-    cand = benchmark(gen)
-    assert cand.n_modes >= 0
+    chunks = benchmark(gen)
+    assert sum(c[0].size for c in chunks) >= 0
 
 
 def test_bench_rank_test(benchmark, medium_modes):
@@ -63,10 +63,11 @@ def test_bench_rank_test(benchmark, medium_modes):
     pos = np.nonzero(col > 0)[0]
     neg = np.nonzero(col < 0)[0]
     stats = IterationStats(position=k, reaction="x", reversible=False)
-    cand = generate_candidates(
+    chunks = list(survivor_chunks(
         modes, k, pos, neg, full_range(pos.size * neg.size), problem.rank,
-        AlgorithmOptions(), stats,
-    ).dedup()
+        stats, chunk_pairs=DEFAULT_PAIR_CHUNK,
+    ))
+    cand = ModeMatrix(np.concatenate([c[2] for c in chunks], axis=0)).dedup()
     assert cand.n_modes > 0
     accept = benchmark(
         lambda: rank_test(cand, problem.n_perm, problem.rank)

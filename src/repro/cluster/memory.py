@@ -85,69 +85,49 @@ def estimate_mode_bytes(n_modes: int, q: int) -> int:
     return n_modes * (8 * q + 8 * words)
 
 
-def prefilter_working_bytes(
-    q: int, n_pairs: int, pair_chunk: int, pipeline: str = "deferred"
-) -> int:
+def prefilter_working_bytes(q: int, n_pairs: int, chunk_pairs: int) -> int:
     """Transient working-set bytes of one candidate-generation chunk.
 
     Generation gathers, per pair in a chunk of ``min(n_pairs,
-    pair_chunk)``: the pair-index vectors (4 int64), the ORed support
+    chunk_pairs)``: the pair-index vectors (4 int64), the ORed support
     words and the prefilter mask — plus, for survivors, the transient
-    dense candidate chunk (which the deferred pipeline frees right after
-    support extraction but which exists at the peak; the eager pipeline
-    retains it, so it is charged under :func:`candidate_row_bytes`
-    instead).  on_oom="degrade" decisions that ignored this undercounted
-    the true peak by exactly these buffers.
+    dense candidate chunk and its canonical support mask and packed words,
+    which die with the chunk but exist at the peak.  on_oom="degrade"
+    decisions that ignored this undercounted the true peak by exactly
+    these buffers.
     """
     words = max(1, (q + 63) // 64)
-    chunk = max(0, min(int(n_pairs), int(pair_chunk)))
-    base = chunk * (32 + 24 * words + 1)
-    # Transient dense candidate chunk — both pipelines materialize it
-    # (eager then retains it, charged via candidate_row_bytes; deferred
-    # additionally holds the canonical mask + packed words briefly).
-    base += chunk * 8 * q
-    if pipeline == "deferred":
-        base += chunk * (q + 8 * words)
-    return base
+    chunk = max(0, min(int(n_pairs), int(chunk_pairs)))
+    return chunk * (32 + 24 * words + 1 + 8 * q + q + 8 * words)
 
 
-#: Default transient-byte budget of one streaming chunk when
-#: ``iter_chunk_bytes="auto"`` and no per-rank capacity is configured.
-#: Large enough that per-chunk dispatch overhead stays negligible, small
-#: enough that a chunk's dense values never dominate a 4 GB-class node.
+#: Transient-byte budget of one candidate chunk when
+#: ``iter_chunk_bytes="auto"``.  Large enough that per-chunk dispatch
+#: overhead stays negligible, small enough that a chunk's dense values
+#: never dominate a 4 GB-class node.
 DEFAULT_STREAM_CHUNK_BYTES: int = 16 << 20
 
+#: Upper bound on the pairs of one candidate chunk, whatever the budget.
+DEFAULT_PAIR_CHUNK: int = 65536
 
-def streaming_chunk_pairs(
-    q: int,
-    iter_chunk_bytes: int | str = "auto",
-    pair_chunk: int = 65536,
-    pipeline: str = "deferred",
-    capacity_bytes: int | None = None,
-) -> int:
-    """Pairs per streaming chunk implied by a transient-byte budget.
 
-    The budget (``iter_chunk_bytes``, or with ``"auto"`` an eighth of the
-    rank's ``capacity_bytes`` when a memory model is configured, else
-    :data:`DEFAULT_STREAM_CHUNK_BYTES`) is divided by the per-pair
-    transient cost of one generation chunk
-    (:func:`prefilter_working_bytes` at ``n_pairs=1``: pair vectors,
-    gathered words, prefilter mask, the dense candidate row and — on the
-    deferred pipeline — the canonical mask + packed words).  The result
-    is clamped to ``[1, pair_chunk]``: streaming never enlarges the
-    generation chunk the batch path would use, so chunk transients are
-    monotonically bounded by the batch prediction.
+def streaming_chunk_pairs(q: int, iter_chunk_bytes: int | str = "auto") -> int:
+    """Pairs per candidate chunk implied by a transient-byte budget.
+
+    The budget (``iter_chunk_bytes``, or :data:`DEFAULT_STREAM_CHUNK_BYTES`
+    for ``"auto"``) is divided by the per-pair transient cost of one
+    generation chunk (:func:`prefilter_working_bytes` at ``n_pairs=1``:
+    pair vectors, gathered words, prefilter mask, the dense candidate row
+    and its canonical mask + packed words).  The result is clamped to
+    ``[1, DEFAULT_PAIR_CHUNK]``.
     """
-    if iter_chunk_bytes == "auto":
-        budget = (
-            max(1, int(capacity_bytes) // 8)
-            if capacity_bytes
-            else DEFAULT_STREAM_CHUNK_BYTES
-        )
-    else:
-        budget = int(iter_chunk_bytes)
-    per_pair = max(1, prefilter_working_bytes(q, 1, 1, pipeline))
-    return max(1, min(int(pair_chunk), budget // per_pair))
+    budget = (
+        DEFAULT_STREAM_CHUNK_BYTES
+        if iter_chunk_bytes == "auto"
+        else int(iter_chunk_bytes)
+    )
+    per_pair = max(1, prefilter_working_bytes(q, 1, 1))
+    return max(1, min(DEFAULT_PAIR_CHUNK, budget // per_pair))
 
 
 def modular_workset_bytes(q: int, rank: int, batch: int) -> int:
@@ -173,19 +153,14 @@ def modular_workset_bytes(q: int, rank: int, batch: int) -> int:
     return stack + snapshots + indices + basis
 
 
-def candidate_row_bytes(q: int, pipeline: str = "deferred") -> int:
-    """Retained bytes per candidate between generation and acceptance.
-
-    The eager pipeline holds a dense normalized float row plus its packed
-    support; the deferred (support-first) pipeline holds only the packed
-    support words plus two int64 pair indices (the combination
-    coefficients are derived at materialization, not stored) — for
-    realistic ``q`` well over an order of magnitude less.
-    """
+def candidate_row_bytes(q: int) -> int:
+    """Retained bytes per candidate between generation and acceptance:
+    the packed support words plus two int64 pair indices (dense values
+    and combination coefficients are rebuilt at materialization, not
+    stored) — for realistic ``q`` over an order of magnitude less than a
+    dense mode row."""
     words = max(1, (q + 63) // 64)
-    if pipeline == "deferred":
-        return 8 * words + 16
-    return 8 * q + 8 * words
+    return 8 * words + 16
 
 
 def _surrogate_kernel(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,9 +275,6 @@ def predict_subset_peak_bytes(
     spec: "SubsetSpec",
     *,
     working_factor: float = 1.5,
-    candidate_pipeline: str = "deferred",
-    pair_chunk: int = 65536,
-    iter_streaming: str = "off",
     iter_chunk_bytes: int | str = "auto",
     rank_backend: str = "modular",
     ordering: str = "paper",
@@ -321,27 +293,17 @@ def predict_subset_peak_bytes(
     makespan heuristic) and the admission budget that bounds how much
     predicted peak may be in flight concurrently.
 
-    ``candidate_pipeline`` selects the per-candidate charge for the
-    iteration's retained candidate set (:func:`candidate_row_bytes`):
-    the eager pipeline holds dense candidate rows between generation and
-    acceptance, the deferred default holds packed supports + pair
-    metadata only, so its predicted peak is correspondingly lower.  On
-    top of the retained set the prediction charges the *transient*
-    generation working set (:func:`prefilter_working_bytes`, bounded by
-    ``pair_chunk`` and the predicted pair count).
+    The iteration's retained candidate set is charged per candidate at
+    :func:`candidate_row_bytes` (packed supports + pair indices); that
+    surrogate upper-bounds the streamed state (accepted set + dedup
+    index).  On top of it the prediction charges the *transient*
+    generation working set of one chunk (:func:`prefilter_working_bytes`
+    at the ``iter_chunk_bytes`` chunk size of
+    :func:`streaming_chunk_pairs`, bounded by the predicted pair count).
 
     With ``rank_backend="modular"`` the residue-field kernel's per-batch
     working set (:func:`modular_workset_bytes`) is charged on top of the
     candidate transients.
-
-    With ``iter_streaming="on"`` the generation chunk shrinks to the
-    streaming budget (:func:`streaming_chunk_pairs`, never larger than
-    ``pair_chunk``), so the streaming prediction is at most the batch
-    prediction.  The retained-candidate charge is kept at the batch
-    surrogate: it upper-bounds the streaming state (accepted set + dedup
-    index, both a subset-sized fraction of the batch survivor charge), so
-    the prediction stays an upper bound on the measured peak in either
-    mode.
 
     With ``ordering="dynamic"`` the pair-count surrogate consumes the
     dynamic order's no-growth trajectory (:func:`_pair_trajectory_ratio`):
@@ -374,8 +336,8 @@ def predict_subset_peak_bytes(
     peak_modes = nullity * (1 + rows_to_process)
     # Candidate surrogate: the retained candidate set at the peak iteration
     # is on the order of the mode count itself (most pairs die in the
-    # union-support prefilter), charged at the pipeline's per-row cost.
-    cand_bytes = peak_modes * candidate_row_bytes(q_work, candidate_pipeline)
+    # union-support prefilter), charged at the per-candidate cost.
+    cand_bytes = peak_modes * candidate_row_bytes(q_work)
     # Pair-count surrogate at the peak iteration: the two sign classes
     # split the peak mode count roughly in half.
     peak_pairs = (peak_modes // 2) * (peak_modes - peak_modes // 2)
@@ -386,13 +348,8 @@ def predict_subset_peak_bytes(
         except Exception:  # planning surrogate — never fail the prediction
             ratio = 1.0
         peak_pairs = max(1, int(peak_pairs * ratio))
-    chunk = pair_chunk
-    if iter_streaming == "on":
-        chunk = streaming_chunk_pairs(
-            q_work, iter_chunk_bytes, pair_chunk, candidate_pipeline
-        )
     cand_bytes += prefilter_working_bytes(
-        q_work, peak_pairs, chunk, candidate_pipeline
+        q_work, peak_pairs, streaming_chunk_pairs(q_work, iter_chunk_bytes)
     )
     if rank_backend == "modular":
         # The residue-field kernel's per-batch working set; batches are at

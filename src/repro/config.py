@@ -21,45 +21,12 @@ DEFAULT_ZERO_TOL: float = 1e-9
 #: Default tolerance for SVD-based rank decisions (scaled by matrix norm).
 DEFAULT_RANK_TOL: float = 1e-8
 
-#: Number of candidate pairs materialized per vectorized generation chunk.
-#: Bounds peak memory of candidate generation: a chunk allocates
-#: ``chunk_size * n_rows`` float64 values plus the packed supports.
-DEFAULT_PAIR_CHUNK: int = 65536
-
 Arithmetic = Literal["float", "exact"]
 AcceptanceTest = Literal["rank", "bittree", "both"]
 OrderingName = Literal[
     "dynamic", "paper", "natural", "most-nonzeros", "random"
 ]
 RankBackend = Literal["modular", "batched", "loop"]
-CandidatePipeline = Literal["deferred", "eager"]
-IterStreaming = Literal["on", "off"]
-
-
-def _default_candidate_pipeline() -> str:
-    """Session-wide pipeline default, overridable via the environment so a
-    whole test run can be flipped to the eager parity reference (the CI
-    ``candidate-pipeline`` matrix leg sets ``REPRO_CANDIDATE_PIPELINE=eager``)."""
-    return os.environ.get("REPRO_CANDIDATE_PIPELINE", "deferred")
-
-
-def _default_iter_streaming() -> str:
-    """Session-wide streaming-iteration default, overridable via the
-    environment so a whole test run can be flipped to the batch parity
-    reference (the CI ``iter-streaming`` leg sets
-    ``REPRO_ITER_STREAMING=off``)."""
-    val = os.environ.get("REPRO_ITER_STREAMING", "on")
-    return {"none": "off"}.get(val, val)
-
-
-def _default_iter_chunk_bytes() -> int | str:
-    """Session-wide streaming chunk budget, overridable via
-    ``REPRO_ITER_CHUNK_BYTES`` (the CI tiny-chunk leg forces a small value
-    to exercise the multi-chunk path on every model).  ``"auto"`` derives
-    the budget from the memory model (:func:`repro.cluster.memory.
-    streaming_chunk_pairs`)."""
-    val = os.environ.get("REPRO_ITER_CHUNK_BYTES", "auto")
-    return val if val == "auto" else int(val)
 
 
 def _default_ordering() -> str:
@@ -138,16 +105,6 @@ class AlgorithmOptions:
         baseline).  All three share the support-pattern rank memo and
         produce identical acceptance decisions.  The default follows
         ``REPRO_RANK_BACKEND``.
-    candidate_pipeline:
-        How candidate modes travel between generation and acceptance.
-        ``"deferred"`` (default) is the support-first pipeline: generation
-        keeps only packed support words plus ``(i, j)`` pair indices and
-        the two combination coefficients; dedup and the rank test run on
-        that representation and dense normalized values are materialized
-        once, for accepted candidates only.  ``"eager"`` materializes every
-        prefilter survivor as a dense normalized row up front (the parity
-        reference).  Both produce bit-identical EFM sets; exact-arithmetic
-        runs always use the eager path.
     ordering:
         Row-processing order.  ``"dynamic"`` (default) picks the next
         eliminated row at the top of every iteration from the *live* mode
@@ -170,30 +127,21 @@ class AlgorithmOptions:
         cheapest follow-up row).  ``0`` selects on the base pair count
         alone — the column-partitioned driver always does, since lookahead
         needs the joint sign distribution only replicated drivers hold.
-    pair_chunk:
-        Vectorized candidate-generation chunk size (pairs per chunk).
     comm_timeout_s:
         Seconds a blocking receive waits before declaring deadlock in the
         parallel backends (``REPRO_COMM_TIMEOUT_S``; previously a
         hard-coded 300 s in the process backend).
-    iter_streaming:
-        How one iteration's candidate pair space is consumed.  ``"on"``
-        (default) streams it as a sequence of bounded chunks, each flowing
-        generate → incremental dedup → rank-test → accept before the next
-        chunk's dense values exist (:mod:`repro.core.iterstream`) — the
-        per-iteration candidate peak is bounded by ``iter_chunk_bytes``
-        plus the accepted set instead of the whole surviving candidate
-        set.  ``"off"`` is the batch parity reference (generate all →
-        dedup all → rank-test all).  Both produce bit-identical EFM sets
-        (keep-first dedup, order-preserving chunking); exact-arithmetic
-        runs always use the batch path.  The default follows
-        ``REPRO_ITER_STREAMING``.
     iter_chunk_bytes:
-        Transient-byte budget of one streaming chunk (pairs per chunk are
-        derived from it — :func:`repro.cluster.memory.
-        streaming_chunk_pairs`); ``"auto"`` (default, env
-        ``REPRO_ITER_CHUNK_BYTES``) picks a budget from the memory model's
-        per-rank capacity when one is configured, else a fixed default.
+        Transient-byte budget of one candidate chunk.  Every iteration
+        consumes its pair space as a stream of bounded chunks, each
+        flowing generate → incremental dedup → rank-test → accept before
+        the next chunk's dense values exist (:mod:`repro.core.iterstream`);
+        pairs per chunk are this budget divided by the per-pair transient
+        cost (:func:`repro.cluster.memory.streaming_chunk_pairs`), at most
+        :data:`~repro.cluster.memory.DEFAULT_PAIR_CHUNK` pairs.  ``"auto"``
+        (default) is the fixed budget
+        :data:`~repro.cluster.memory.DEFAULT_STREAM_CHUNK_BYTES` (16 MiB).
+        Every budget gives the same EFM set.
     ordering_seed:
         Seed for ``ordering="random"``.
     record_trace:
@@ -206,19 +154,10 @@ class AlgorithmOptions:
     rank_backend: RankBackend = dataclasses.field(
         default_factory=_default_rank_backend
     )
-    candidate_pipeline: CandidatePipeline = dataclasses.field(
-        default_factory=_default_candidate_pipeline
-    )
     ordering: OrderingName = dataclasses.field(default_factory=_default_ordering)
     selection_lookahead: int = DEFAULT_SELECTION_LOOKAHEAD
-    pair_chunk: int = DEFAULT_PAIR_CHUNK
     comm_timeout_s: float = dataclasses.field(default_factory=resolve_timeout)
-    iter_streaming: IterStreaming = dataclasses.field(
-        default_factory=_default_iter_streaming
-    )
-    iter_chunk_bytes: int | str = dataclasses.field(
-        default_factory=_default_iter_chunk_bytes
-    )
+    iter_chunk_bytes: int | str = "auto"
     ordering_seed: int = 0
     record_trace: bool = False
     policy: NumericPolicy = DEFAULT_POLICY
@@ -230,10 +169,6 @@ class AlgorithmOptions:
             raise ValueError(f"unknown acceptance test {self.acceptance!r}")
         if self.rank_backend not in ("modular", "batched", "loop"):
             raise ValueError(f"unknown rank backend {self.rank_backend!r}")
-        if self.candidate_pipeline not in ("deferred", "eager"):
-            raise ValueError(
-                f"unknown candidate pipeline {self.candidate_pipeline!r}"
-            )
         if self.ordering not in (
             "dynamic", "paper", "natural", "most-nonzeros", "random"
         ):
@@ -245,14 +180,8 @@ class AlgorithmOptions:
                 f"selection_lookahead must be a non-negative int, "
                 f"got {self.selection_lookahead!r}"
             )
-        if self.pair_chunk < 1:
-            raise ValueError("pair_chunk must be positive")
         if self.comm_timeout_s <= 0:
             raise ValueError("comm_timeout_s must be positive")
-        if self.iter_streaming not in ("on", "off"):
-            raise ValueError(
-                f"unknown iter_streaming {self.iter_streaming!r}"
-            )
         if self.iter_chunk_bytes != "auto" and (
             not isinstance(self.iter_chunk_bytes, int)
             or self.iter_chunk_bytes < 1

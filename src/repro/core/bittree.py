@@ -165,20 +165,17 @@ class SupportIndex:
     the incremental dedup structure of the streaming iteration engine
     (:mod:`repro.core.iterstream`).
 
-    The batch iteration body deduplicates with one :func:`~repro.linalg.
-    bitset.unique_rows` pass over the whole candidate set plus a
-    membership test against the zero-entry survivors.  Streaming consumes
-    the pair space chunk by chunk, so dedup must be *incremental*: a
-    chunk's candidates are checked against the zero-entry survivors and
-    every candidate *accepted* in earlier chunks, then the chunk's own
-    accepted survivors are appended.  Keep-first throughout, so the
-    surviving candidate order — and therefore the EFM output — is
-    bit-identical to the batch path: a later duplicate of an accepted (or
-    zero-surviving) support is dropped exactly as batch dedup drops it,
-    and a later duplicate of a *rejected* support is re-tested instead —
-    the rank test decides on the support pattern alone, so it is rejected
-    again (a memo cache hit) and the output is unchanged; only the
-    duplicate/tested counters can drift from batch.  Rejected supports are
+    The iteration body consumes the pair space chunk by chunk, so dedup
+    must be *incremental*: a chunk's candidates are checked against the
+    zero-entry survivors and every candidate *accepted* in earlier chunks,
+    then the chunk's own accepted survivors are appended.  Keep-first
+    throughout, so the surviving candidate order — and therefore the EFM
+    output — is the same for every chunking: a later duplicate of an
+    accepted (or zero-surviving) support is dropped, and a later
+    duplicate of a *rejected* support is re-tested instead — the rank test
+    decides on the support pattern alone, so it is rejected again (a memo
+    cache hit) and the output is unchanged; only the duplicate/tested
+    counters depend on the chunking.  Rejected supports are
     deliberately not stored: on low-acceptance iterations the index stays
     a fraction of the tested set.
 
@@ -186,8 +183,8 @@ class SupportIndex:
     buffer; probes are vectorized (:func:`~repro.linalg.bitset.rows_in`
     against the filled prefix).  ``frozen`` rows (the zero-entry
     survivors' supports) are held as a borrowed read-only reference, not
-    copied: they live in the iteration's mode matrix either way — exactly
-    as the batch path probes them in place — so :meth:`nbytes` charges
+    copied: they live in the iteration's mode matrix either way, so
+    :meth:`nbytes` charges
     only the appendable buffer, the memory the streaming state actually
     adds.
     """

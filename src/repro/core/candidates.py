@@ -6,27 +6,14 @@ every mode with a negative entry; the convex combination
     cand = (-neg_k) * pos_mode + (pos_k) * neg_mode
 
 annihilates row ``k`` (both coefficients are positive, so the combination
-stays inside the flux cone).  Generation is vectorized in chunks of
-``options.pair_chunk`` pairs; a packed-support union popcount prefilter
-("summary rejection": a support larger than ``rank+1`` cannot have nullity
-1) drops most pairs before any float work happens.
-
-Two pipelines carry the survivors onward (``options.candidate_pipeline``):
-
-``"deferred"`` (default, the support-first pipeline)
-    Chunk values are computed transiently, canonical supports are
-    extracted (:func:`repro.core.state.canonical_support_mask` — the exact
-    mask the eager constructor would produce), and the dense values are
-    discarded: only a :class:`~repro.core.state.CandidateBatch` of packed
-    support words, ``(i, j)`` pair indices and the two combination
-    coefficients survives.  Dedup and the rank test consume supports only,
-    so dense normalized rows are materialized once — for *accepted*
-    candidates — by recomputing ``a*mode[i] + b*mode[j]``.
-
-``"eager"``
-    Every prefilter survivor is materialized as a dense normalized
-    :class:`~repro.core.state.ModeMatrix` row up front (the parity
-    reference; also the only pipeline for exact arithmetic).
+stays inside the flux cone).  Generation is vectorized in bounded chunks
+of pairs; a packed-support union popcount prefilter ("summary rejection":
+a support larger than ``rank+1`` cannot have nullity 1) drops most pairs
+before any float work happens.  :func:`survivor_chunks` yields each
+chunk's survivors as transient dense rows; the iteration body
+(:mod:`repro.core.iterstream`) reduces float chunks to packed supports
+and pair indices at once, so dense normalized rows are materialized only
+for *accepted* candidates.
 
 The pair index space ``[0, n_pos*n_neg)`` is linearized as
 ``p = i * n_neg + j``; the combinatorial parallel algorithm hands each rank
@@ -42,11 +29,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.config import AlgorithmOptions
-from repro.core.state import CandidateBatch, ModeMatrix, canonical_support_mask
+from repro.core.state import ModeMatrix
 from repro.core.stats import IterationStats
 from repro.linalg import bitset
-from repro.linalg.bitset import PackedSupports, pack_support_rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,27 +97,25 @@ def survivor_chunks(
     neg_idx: np.ndarray,
     pair_range: PairRange,
     rank_bound: int,
-    options: AlgorithmOptions,
     stats: IterationStats,
     *,
+    chunk_pairs: int,
     adjacency=None,
-    chunk_pairs: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
     """Yield this worker's per-chunk generation survivors for row ``k``.
 
-    The shared generation front-end of the batch (:func:`generate_candidates`)
-    and streaming (:mod:`repro.core.iterstream`) iteration bodies: pair
-    enumeration, the union-support prefilter and the optional per-pair
-    adjacency test all live here, once.  Each yielded tuple is ``(i_ok,
-    j_ok, raw, transient)``: the surviving pairs' source-mode indices, the
-    raw (un-normalized) dense combination chunk, and the chunk's transient
-    working-set bytes (pair vectors, gathered words, prefilter mask and the
-    dense chunk — already folded into ``stats.prefilter_bytes``).
+    The generation front-end of the iteration body
+    (:mod:`repro.core.iterstream`): pair enumeration, the union-support
+    prefilter and the optional per-pair adjacency test all live here,
+    once.  Each yielded tuple is ``(i_ok, j_ok, raw, transient)``: the
+    surviving pairs' source-mode indices, the raw (un-normalized) dense
+    combination chunk, and the chunk's transient working-set bytes (pair
+    vectors, gathered words, prefilter mask and the dense chunk — already
+    folded into ``stats.prefilter_bytes``).
 
-    ``chunk_pairs`` bounds the pairs per chunk (default
-    ``options.pair_chunk``).  Chunk *granularity* never changes the pair
-    enumeration order, so any two chunkings enumerate identical survivors
-    in identical order.
+    ``chunk_pairs`` bounds the pairs per chunk.  Chunk *granularity* never
+    changes the pair enumeration order, so any two chunkings enumerate
+    identical survivors in identical order.
 
     ``rank_bound`` is the rank of the stoichiometry: a candidate whose
     support exceeds ``rank_bound + 1`` entries is summarily rejected (the
@@ -146,8 +129,6 @@ def survivor_chunks(
     col = vals[:, k]
     n_words = sup.shape[1]
     sup1 = sup[:, 0] if n_words == 1 else None
-    if chunk_pairs is None:
-        chunk_pairs = options.pair_chunk
     chunk_pairs = max(1, int(chunk_pairs))
 
     peak_transient = 0
@@ -200,88 +181,12 @@ def survivor_chunks(
         a = -col[j_ok]  # > 0
         b = col[i_ok]  # > 0
         cand = vals[i_ok] * a[:, None] + vals[j_ok] * b[:, None]
-        # ... plus the dense candidate chunk (on the deferred pipeline it
-        # dies with the chunk, but it exists — on_oom decisions must see
-        # it).
+        # ... plus the dense candidate chunk (it dies with the chunk, but
+        # it exists — on_oom decisions must see it).
         transient += cand.nbytes
         peak_transient = max(peak_transient, transient)
         stats.prefilter_bytes = max(stats.prefilter_bytes, peak_transient)
         yield i_ok, j_ok, cand, transient
-
-
-def generate_candidates(
-    modes: ModeMatrix,
-    k: int,
-    pos_idx: np.ndarray,
-    neg_idx: np.ndarray,
-    pair_range: PairRange,
-    rank_bound: int,
-    options: AlgorithmOptions,
-    stats: IterationStats,
-    adjacency=None,
-) -> ModeMatrix | CandidateBatch:
-    """Generate this worker's candidates for iteration row ``k`` — the
-    *batch* consumer of :func:`survivor_chunks` (``iter_streaming="off"``;
-    the streaming engine :mod:`repro.core.iterstream` consumes the same
-    generator chunk by chunk instead of accumulating).
-
-    Returns the candidates that survived the union-support prefilter (and,
-    when ``adjacency`` is given, the combinatorial pair-adjacency test —
-    see :class:`repro.core.bittree.AdjacencyTest`; it must run per-pair,
-    before any dedup): a dense :class:`ModeMatrix` on the eager pipeline, a
-    support-only :class:`CandidateBatch` on the deferred one (see the
-    module docstring).
-    """
-    deferred = options.candidate_pipeline == "deferred" and not modes.exact
-
-    kept_chunks: list[np.ndarray] = []
-    word_chunks: list[np.ndarray] = []
-    i_chunks: list[np.ndarray] = []
-    j_chunks: list[np.ndarray] = []
-
-    for i_ok, j_ok, cand, transient in survivor_chunks(
-        modes, k, pos_idx, neg_idx, pair_range, rank_bound, options, stats,
-        adjacency=adjacency,
-    ):
-        if deferred:
-            # Support-first: extract canonical supports from the transient
-            # chunk values, then let the dense rows — and the coefficients,
-            # which (i, j, k) fully determine — die with the chunk.
-            mask = canonical_support_mask(cand, modes.policy)
-            word_chunks.append(pack_support_rows(mask))
-            i_chunks.append(i_ok)
-            j_chunks.append(j_ok)
-            stats.prefilter_bytes = max(
-                stats.prefilter_bytes,
-                transient + mask.nbytes + word_chunks[-1].nbytes,
-            )
-        else:
-            kept_chunks.append(cand)
-
-    if deferred:
-        if not word_chunks:
-            return CandidateBatch.empty(modes.q, k, policy=modes.policy)
-        if len(word_chunks) == 1:
-            parts = (word_chunks[0], i_chunks[0], j_chunks[0])
-        else:
-            parts = (
-                np.concatenate(word_chunks, axis=0),
-                np.concatenate(i_chunks),
-                np.concatenate(j_chunks),
-            )
-        # Arrays are freshly built with the right dtypes; skip the public
-        # constructor's coercion pass (hot: once per iteration per rank).
-        batch = CandidateBatch._from_parts(
-            PackedSupports(parts[0], modes.q), parts[1], parts[2], k, modes.policy
-        )
-        stats.candidate_bytes = max(stats.candidate_bytes, batch.nbytes())
-        return batch
-    if not kept_chunks:
-        return ModeMatrix.empty(modes.q, exact=modes.exact, policy=modes.policy)
-    raw = np.concatenate(kept_chunks, axis=0)
-    out = ModeMatrix(raw, policy=modes.policy)
-    stats.candidate_bytes = max(stats.candidate_bytes, out.nbytes())
-    return out
 
 
 def _iter_pair_chunks(pair_range: PairRange, chunk: int):

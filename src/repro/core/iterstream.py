@@ -1,69 +1,65 @@
-"""Streaming iteration engine: bounded-memory chunked candidate processing.
+"""The iteration body: bounded-memory chunked candidate processing.
 
-The batch iteration body (``iter_streaming="off"``) runs the paper's three
-phases over the *whole* pair space: generate all prefilter survivors, then
-``Sort&RemoveDuplicates`` over the full set, then ``RankTests`` — so one
-iteration's entire surviving candidate set exists at once.  That retained
-set is the paper's memory bottleneck (Algorithm 2 dies at iteration 59 on
-4 GB nodes), and it is what :func:`stream_iteration` dismantles: the pair
-space is consumed as a sequence of bounded chunks
-(:func:`repro.core.candidates.survivor_chunks` — the same enumeration the
-batch path uses, in the same order), and each chunk flows
+The paper's iteration body runs ``GenerateEFMCands`` →
+``Sort&RemoveDuplicates`` → ``RankTests`` over the whole ``pos × neg``
+pair space, so one iteration's entire surviving candidate set exists at
+once — the paper's memory bottleneck (Algorithm 2 dies at iteration 59 on
+4 GB nodes).  :func:`stream_iteration` runs the same three phases over a
+sequence of bounded chunks of the pair space
+(:func:`repro.core.candidates.survivor_chunks`), and each chunk flows
 
     generate → incremental dedup → rank-test → accept
 
 to completion before the next chunk's dense values exist.  Live state
 between chunks is only the accepted set plus the incremental dedup index
-(:class:`repro.core.bittree.SupportIndex`), both of which the batch path
-holds anyway — the whole-iteration survivor set never materializes.
+(:class:`repro.core.bittree.SupportIndex`) — the whole-iteration
+survivor set never materializes.
 
-Streaming is orthogonal to *which* row an iteration eliminates: the
+The body is orthogonal to *which* row an iteration eliminates: the
 :class:`~repro.core.ordering.RowSelector` picks ``k`` before the
-iteration body runs, and this engine then streams that row's pair space
-exactly as the batch body would consume it.  Dynamic selection composes
-multiplicatively — it shrinks the pair space that exists, streaming
-bounds how much of it is resident at once — which is why the parity
-suite pins ordering × streaming jointly.
+iteration body runs, and this engine then streams that row's pair space.
+Dynamic selection shrinks the pair space that exists, chunking bounds how
+much of it is resident at once.
 
-Bit-identity with the batch path
---------------------------------
+Chunk invariance
+----------------
 
-The streamed EFM output is bit-identical to batch because every stage is
-order- and chunking-invariant:
+The EFM output is bit-identical for every chunk budget because every
+stage is order- and chunking-invariant:
 
 * *Enumeration*: chunk granularity never reorders the pair space (see
-  :func:`~repro.core.candidates.survivor_chunks`), so survivors arrive in
-  exactly the batch order.
+  :func:`~repro.core.candidates.survivor_chunks`).
 * *Dedup is keep-first*: within a chunk, first-occurrence
   :func:`~repro.linalg.bitset.unique_rows`; across chunks, membership in
   the index of zero-entry survivors plus earlier *accepted* candidates.  A
   later duplicate of an earlier **accepted** (or zero-entry) support is
-  dropped exactly as the batch dedup drops it; a later duplicate of an
-  earlier **rejected** support is re-tested instead — the rank test
-  decides on the support pattern alone, so it is rejected again and the
-  accepted set is unchanged (the support-pattern memo makes the re-test a
-  cache hit; only the ``n_duplicates``/``n_tested`` counters can drift
-  from batch, never the output).
+  dropped; a later duplicate of an earlier **rejected** support is
+  re-tested instead — the rank test decides on the support pattern alone,
+  so it is rejected again and the accepted set is unchanged (the
+  support-pattern memo makes the re-test a cache hit; only the
+  ``n_duplicates``/``n_tested`` counters depend on the chunking, never the
+  output).
 * *Acceptance is per-candidate*: the algebraic rank test depends only on
-  the candidate's own support, never on batch composition; the
-  combinatorial adjacency test is per-*pair* and runs inside generation on
-  both paths.
+  the candidate's own support; the combinatorial adjacency test is
+  per-*pair* and runs inside generation.
 * *Materialization is row-wise*: accepted candidates materialize from
-  ``(i, j, row)`` exactly as the batch path's deferred pipeline does.
+  ``(i, j, row)`` (:meth:`~repro.core.state.CandidateBatch.materialize`).
 
-The engine serves both candidate pipelines (dense chunk rows are kept for
-accepted candidates on ``"eager"``, supports + pair indices on
-``"deferred"``) and all three drivers: the serial/combinatorial bodies
-enter through :func:`repro.core.serial.iterate_row`, the column-partitioned
-driver streams its local pair share directly (no zero-entry preload — its
-duplicate control against zero survivors is global, after the allgather).
-Exact-arithmetic runs always take the batch path.
+The data picks the candidate representation: float runs keep only packed
+supports + pair indices per candidate (the support-first pipeline), exact
+runs keep the dense ``Fraction`` rows (materialization from pair indices
+is float-only).  Every driver calls this one body: the
+serial/combinatorial drivers through :func:`repro.core.serial.iterate_row`,
+the column-partitioned driver on its local pair share directly (no
+zero-entry preload — its duplicate control against zero survivors is
+global, after the allgather).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.memory import streaming_chunk_pairs
 from repro.config import AlgorithmOptions
 from repro.core.bittree import SupportIndex
 from repro.core.candidates import PairRange, survivor_chunks
@@ -73,21 +69,6 @@ from repro.core.stats import IterationStats, PhaseTimer
 from repro.errors import AlgorithmError
 from repro.linalg import bitset, rational
 from repro.linalg.bitset import PackedSupports, pack_support_rows
-
-
-def resolve_chunk_pairs(q: int, options: AlgorithmOptions) -> int:
-    """Pairs per streaming chunk for this iteration's geometry — the
-    ``iter_chunk_bytes`` budget divided by the per-pair transient cost
-    (:func:`repro.cluster.memory.streaming_chunk_pairs`), never above
-    ``options.pair_chunk``."""
-    from repro.cluster.memory import streaming_chunk_pairs  # noqa: PLC0415
-
-    return streaming_chunk_pairs(
-        q,
-        options.iter_chunk_bytes,
-        options.pair_chunk,
-        options.candidate_pipeline,
-    )
 
 
 def stream_iteration(
@@ -109,12 +90,11 @@ def stream_iteration(
 ) -> ModeMatrix | CandidateBatch:
     """Run one iteration's candidate phase as a bounded-memory stream.
 
-    Returns this worker's accepted candidates — a support-only
-    :class:`~repro.core.state.CandidateBatch` on the deferred pipeline, a
-    dense :class:`~repro.core.state.ModeMatrix` on the eager one — exactly
-    what the batch ``generate → dedup → rank-test`` sequence returns, in
-    the same order.  The live :class:`~repro.core.bittree.SupportIndex` is
-    attached to the result as ``dedup_index`` so memory accounting
+    Returns this worker's accepted candidates in pair-enumeration order — a
+    support-only :class:`~repro.core.state.CandidateBatch` for float
+    modes, a dense :class:`~repro.core.state.ModeMatrix` for exact ones.
+    The live :class:`~repro.core.bittree.SupportIndex` is attached to the
+    result as ``dedup_index`` so memory accounting
     (``nbytes``/``payload_nbytes``) sees the streaming state for as long
     as the caller keeps the candidates around.
 
@@ -122,11 +102,11 @@ def stream_iteration(
     supports (the serial/combinatorial duplicate rule; the distributed
     driver passes ``None`` and keeps its global post-allgather control).
     ``acceptance`` overrides ``options.acceptance`` (the distributed
-    driver always rank-tests).  Timings land in the same phase buckets as
-    batch: generation in ``t_gen_cand``, dedup/accept bookkeeping in
-    ``t_merge``, the acceptance test in ``t_rank_test``.
+    driver always rank-tests).  Timings land in the phase buckets:
+    generation in ``t_gen_cand``, dedup/accept bookkeeping in ``t_merge``,
+    the acceptance test in ``t_rank_test``.
     """
-    deferred = options.candidate_pipeline == "deferred" and not modes.exact
+    deferred = not modes.exact
     if acceptance is None:
         acceptance = options.acceptance
     rank_mode = acceptance in ("rank", "both")
@@ -141,13 +121,14 @@ def stream_iteration(
     n_accepted = 0
 
     gen = survivor_chunks(
-        modes, k, pos_idx, neg_idx, pair_range, rank_bound, options, stats,
-        adjacency=adjacency, chunk_pairs=resolve_chunk_pairs(modes.q, options),
+        modes, k, pos_idx, neg_idx, pair_range, rank_bound, stats,
+        chunk_pairs=streaming_chunk_pairs(modes.q, options.iter_chunk_bytes),
+        adjacency=adjacency,
     )
     while True:
         # Pull the next survivor chunk; the pair enumeration and the
         # prefilter run inside the generator, so their cost lands in the
-        # generation bucket just as in batch.
+        # generation bucket.
         with PhaseTimer(stats, "t_gen_cand"):
             item = next(gen, None)
         if item is None:
@@ -254,6 +235,8 @@ def stream_iteration(
                 for m in acc_modes[1:]:
                     out = out.concat(m)
             else:
-                out = ModeMatrix.empty(modes.q, policy=modes.policy)
+                out = ModeMatrix.empty(
+                    modes.q, exact=modes.exact, policy=modes.policy
+                )
         out.dedup_index = index
     return out

@@ -34,15 +34,16 @@ import numpy as np
 
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
 from repro.core import bittree, iterstream
-from repro.core.candidates import PairRange, full_range, generate_candidates
+from repro.core.candidates import PairRange, full_range
 from repro.core.kernel import NullspaceProblem
-from repro.core.ranktest import rank_test
+# Not called here; perfbench/layers.py wraps ``repro.core.serial.rank_test``.
+from repro.core.ranktest import rank_test  # noqa: F401
 from repro.core.state import CandidateBatch, ModeMatrix
 from repro.core.stats import IterationStats, PhaseTimer, RunStats
 from repro.core.trace import IterationTrace
 from repro.engine.context import RunContext
 from repro.errors import AlgorithmError
-from repro.linalg import bitset, rational
+from repro.linalg import rational
 from repro.linalg.batched import CacheBinding
 
 
@@ -156,17 +157,15 @@ def iterate_row(
     ``rank_cache`` optionally shares a support-pattern rank memo across
     iterations (and, for divide-and-conquer drivers, across subproblems).
 
-    On the deferred pipeline the candidates travel through dedup and the
-    rank test as a support-only :class:`~repro.core.state.CandidateBatch`;
-    with ``materialize=True`` (the serial default) the accepted survivors
-    come back as a dense :class:`ModeMatrix`, while ``materialize=False``
-    hands the batch to the caller so a parallel driver can communicate the
-    packed representation and materialize after the global merge.
-
-    With ``options.iter_streaming == "on"`` (float arithmetic) the
-    generate → dedup → rank-test sequence runs as a bounded-memory chunk
-    stream (:func:`repro.core.iterstream.stream_iteration`) instead of
-    three whole-set phases; the output is bit-identical either way.
+    The generate → dedup → rank-test sequence runs as a bounded-memory
+    chunk stream (:func:`repro.core.iterstream.stream_iteration`).  For
+    float modes the candidates travel through it as a support-only
+    :class:`~repro.core.state.CandidateBatch`; with ``materialize=True``
+    (the serial default) the accepted survivors come back as a dense
+    :class:`ModeMatrix`, while ``materialize=False`` hands the batch to
+    the caller so a parallel driver can communicate the packed
+    representation and materialize after the global merge.  Exact modes
+    come back dense either way.
     """
     signs = modes.sign_column(k)
     pos_idx = np.nonzero(signs > 0)[0]
@@ -196,56 +195,18 @@ def iterate_row(
                 adjacency = bittree.AdjacencyTest(
                     modes.supports.words, modes.q, k, processed=processed_rows
                 )
-        if options.iter_streaming == "on" and not modes.exact:
-            cand = iterstream.stream_iteration(
-                modes, k, pos_idx, neg_idx, pr, problem.n_perm,
-                problem.rank, options, stats,
-                zero_words=modes.supports.words[zero_mask],
-                adjacency=adjacency,
-                n_exact=n_exact,
-                rank_cache=rank_cache,
-            )
-        else:
-            with PhaseTimer(stats, "t_gen_cand"):
-                cand = generate_candidates(
-                    modes, k, pos_idx, neg_idx, pr, problem.rank, options,
-                    stats, adjacency=adjacency,
-                )
-            with PhaseTimer(stats, "t_merge"):
-                before = cand.n_modes
-                cand = cand.dedup()
-                # Drop candidates identical (by support) to zero-entry
-                # modes that survive into the next iteration anyway.
-                if cand.n_modes and stats.n_zero:
-                    zero_words = modes.supports.words[zero_mask]
-                    dup = bitset.rows_in(cand.supports.words, zero_words)
-                    if dup.any():
-                        cand = cand.select(~dup)
-                stats.n_duplicates = before - cand.n_modes
-            if options.acceptance in ("rank", "both"):
-                stats.n_tested = cand.n_modes
-                with PhaseTimer(stats, "t_rank_test"):
-                    accept = rank_test(
-                        cand,
-                        problem.n_perm,
-                        problem.rank,
-                        policy=options.policy,
-                        n_exact=n_exact,
-                        backend=options.rank_backend,
-                        cache=rank_cache,
-                        stats=stats,
-                    )
-                if options.acceptance == "both" and not accept.all():
-                    raise AlgorithmError(
-                        "adjacency test accepted a candidate the rank test "
-                        f"rejects at row {k} ({int((~accept).sum())} of "
-                        f"{cand.n_modes})"
-                    )
-                cand = cand.select(accept)
+        cand = iterstream.stream_iteration(
+            modes, k, pos_idx, neg_idx, pr, problem.n_perm,
+            problem.rank, options, stats,
+            zero_words=modes.supports.words[zero_mask],
+            adjacency=adjacency,
+            n_exact=n_exact,
+            rank_cache=rank_cache,
+        )
         stats.n_accepted = cand.n_modes
         if materialize and isinstance(cand, CandidateBatch):
-            # Deferred pipeline: dense normalized values exist only from
-            # here on, and only for the accepted survivors.
+            # Support-first: dense normalized values exist only from here
+            # on, and only for the accepted survivors.
             with PhaseTimer(stats, "t_merge"):
                 cand = cand.materialize(modes.values)
 
@@ -257,19 +218,6 @@ def iterate_row(
         stats.n_neg_removed = int((~keep_mask).sum())
         kept = modes.select(np.nonzero(keep_mask)[0])
     return kept, cand
-
-
-def make_rank_binding(
-    problem: NullspaceProblem, options: AlgorithmOptions
-) -> CacheBinding | None:
-    """A fresh per-run rank memo bound to ``problem`` (batched backend
-    only; the loop backend and pure-bittree runs take no cache).
-
-    Thin compatibility wrapper over
-    :meth:`repro.engine.context.RunContext.rank_binding_for`, the single
-    point of truth for rank-cache wiring.
-    """
-    return RunContext(options=options).rank_binding_for(problem)
 
 
 def nullspace_algorithm(

@@ -28,10 +28,10 @@ def canonicalize_rows(values: np.ndarray, policy: NumericPolicy) -> np.ndarray:
     entries to exact ``0.0`` (fresh C-contiguous array).
 
     This is *the* definition of a canonical mode row, shared by the
-    :class:`ModeMatrix` constructor and the deferred candidate pipeline.
-    Every operation is row-wise, so canonicalizing a matrix chunk by chunk
-    yields bit-identical rows to one whole-matrix call — the eager/deferred
-    equivalence contract rests on that.
+    :class:`ModeMatrix` constructor and the support-first candidate
+    pipeline.  Every operation is row-wise, so canonicalizing a matrix
+    chunk by chunk yields bit-identical rows to one whole-matrix call —
+    the chunk-invariance of the iteration body rests on that.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.size == 0:
@@ -146,7 +146,7 @@ class ModeMatrix:
         policy: NumericPolicy = DEFAULT_POLICY,
     ) -> "ModeMatrix":
         """Materialize candidate rows ``a * source[i] + b * source[j]`` —
-        the deferred pipeline's single materialization point.
+        from pair indices and explicit coefficients.
 
         The combination and the constructor's canonicalization are both
         row-wise, so the result is bit-identical to a matrix built eagerly
@@ -292,10 +292,9 @@ class ModeMatrix:
 class CandidateBatch:
     """Deferred candidate modes: packed supports plus pair provenance.
 
-    The support-first pipeline's intermediate representation.  Where the
-    eager pipeline materializes every prefilter survivor as a dense
-    normalized float64 row, this container carries only what dedup and the
-    rank test actually consume — the canonical packed support words — plus
+    The support-first pipeline's intermediate representation.  Instead of
+    a dense normalized float64 row per prefilter survivor, this container
+    carries only what dedup and the rank test actually consume — the canonical packed support words — plus
     the ``(i, j)`` source-mode indices and the iteration row ``row`` they
     were paired on.  That triple fully determines the dense row
     ``(-src[j, row]) * src[i] + src[i, row] * src[j]``, so not even the
@@ -308,7 +307,7 @@ class CandidateBatch:
     meaningful on any rank holding that replica — which is what lets the
     combinatorial allgather ship batches instead of dense rows.
 
-    Float arithmetic only; exact-mode runs use the eager pipeline.
+    Float arithmetic only; exact-mode runs keep dense ``Fraction`` rows.
     """
 
     __slots__ = ("supports", "pair_i", "pair_j", "row", "policy", "dedup_index")
@@ -413,8 +412,7 @@ class CandidateBatch:
 
     def dedup(self) -> "CandidateBatch":
         """First-occurrence support dedup — same canonical order as
-        :meth:`ModeMatrix.dedup`, so eager and deferred runs keep identical
-        survivors."""
+        :meth:`ModeMatrix.dedup`."""
         _, first = bitset.unique_rows(self.supports.words)
         if len(first) == self.n_modes:
             return self
@@ -436,7 +434,7 @@ class CandidateBatch:
             return ModeMatrix.empty(self.q, policy=self.policy)
         col = source_values[:, self.row]
         # In-place on the two fancy-index copies.  ``b*y - c*x`` rounds
-        # bit-identically to the eager chunk combination's
+        # bit-identically to the generation chunk combination's
         # ``(-c)*x + b*y``: IEEE negation is exact and addition commutes,
         # so the subtraction spells the same multiply/multiply/add.
         sub = source_values[self.pair_i]
@@ -455,7 +453,7 @@ class CandidateBatch:
         same replicated matrix), and mode counts are far below 2**31 (a
         single replica would exceed any node memory first), so int32
         indices are safe.  Per candidate this is ``8 * words + 8`` bytes
-        against the eager pipeline's ``8 * q + 8 * words``."""
+        against ``8 * q + 8 * words`` for a dense row."""
         return (
             self.supports.words,
             self.pair_i.astype(np.int32),

@@ -52,27 +52,27 @@ class IterationStats:
     #: complement member-columns served from elimination-prefix snapshots
     #: instead of re-eliminated (the prefix-reuse layer's work saving).
     n_prefix_reused_cols: int = 0
-    #: retained candidate-set footprint after generation (bytes): dense
-    #: values + supports on the eager pipeline, packed supports + pair
-    #: indices on the deferred one.  Transient per-chunk buffers are
-    #: tracked separately in ``prefilter_bytes``.
+    #: peak retained candidate footprint of the iteration (bytes):
+    #: accepted candidates + dedup index + the current chunk's survivors
+    #: (packed supports + pair indices for float modes, dense rows for
+    #: exact ones).  Transient per-chunk buffers are tracked separately in
+    #: ``prefilter_bytes``.
     candidate_bytes: int = 0
     #: peak transient working set of one generation chunk (bytes): the
     #: pair-index vectors, gathered/ORed support words and prefilter mask,
-    #: the dense candidate chunk (which the deferred pipeline frees right
-    #: after support extraction but which exists at the peak).
+    #: the dense candidate chunk (freed right after support extraction,
+    #: but it exists at the peak).
     #: on_oom="degrade" decisions should add this to the retained
     #: footprint to see the true peak.
     prefilter_bytes: int = 0
-    #: streaming chunks processed by this rank (iter_streaming="on";
-    #: batch iterations leave this 0).
+    #: candidate chunks processed by this rank.
     n_chunks: int = 0
-    #: largest retained candidate footprint of one streaming chunk
-    #: (bytes): packed supports + pair indices on the deferred pipeline,
-    #: the dense chunk matrix on the eager one.
+    #: largest retained candidate footprint of one chunk (bytes): packed
+    #: supports + pair indices for float modes, the dense chunk matrix for
+    #: exact ones.
     peak_chunk_bytes: int = 0
     #: candidates probed against the incremental dedup index
-    #: (streaming; see repro.core.bittree.SupportIndex).
+    #: (see repro.core.bittree.SupportIndex).
     n_dedup_probes: int = 0
     #: the chosen row's global |pos|*|neg| pair count at selection time
     #: (dynamic ordering; 0 on static paths — see repro.core.ordering).
@@ -174,8 +174,7 @@ class RunStats:
 
     @property
     def total_stream_chunks(self) -> int:
-        """Streaming chunks processed across all iterations (0 for
-        batch runs)."""
+        """Candidate chunks processed across all iterations."""
         return sum(it.n_chunks for it in self.iterations)
 
     @property
@@ -185,7 +184,7 @@ class RunStats:
 
     @property
     def peak_stream_chunk_bytes(self) -> int:
-        """Largest retained single-chunk candidate footprint (streaming)."""
+        """Largest retained single-chunk candidate footprint."""
         return max((it.peak_chunk_bytes for it in self.iterations), default=0)
 
     @property

@@ -133,10 +133,9 @@ class RunContext:
     ) -> CacheBinding | None:
         """The rank-test cache binding for one prepared problem.
 
-        Replaces the ``make_rank_binding`` / ``shared_rank_cache`` /
-        ``problem_token`` wiring previously copy-pasted across the serial,
-        combinatorial, distributed, checkpointed and divide-and-conquer
-        drivers.  Three regimes:
+        The one place the serial, combinatorial, distributed,
+        checkpointed and divide-and-conquer drivers get their rank-cache
+        wiring from.  Three regimes:
 
         * the loop backend and pure-bittree runs take no cache (``None``;
           the modular and batched backends share one memo format);

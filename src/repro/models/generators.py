@@ -42,7 +42,9 @@ def random_network(
     n_exchanges:
         Number of boundary exchange reactions (single-metabolite columns);
         defaults to ``max(2, n_metabolites // 3)``.  Exchange columns are
-        *included in* ``n_reactions``.
+        *included in* ``n_reactions``.  Fix-up exchanges that make every
+        metabolite producible and consumable are appended on top, so the
+        network can have more than ``n_reactions`` reactions.
     max_coefficient:
         Stoichiometric coefficients are drawn uniformly from
         ``1..max_coefficient``.

@@ -100,8 +100,8 @@ def payload_nbytes(obj: Any) -> int:
     Arrays and objects exposing ``nbytes`` are measured directly (what an
     MPI buffer send would move); lists, tuples and dict values are summed
     recursively, element by element, so the structured wire payloads of
-    the parallel drivers — e.g. the deferred pipeline's ``(words, pair_i,
-    pair_j)`` allgather tuple, or a dict of named array parts — are
+    the parallel drivers — e.g. the support-first candidate batch's ``(words,
+    pair_i, pair_j)`` allgather tuple, or a dict of named array parts — are
     measured by their array contents rather than a whole-container
     pickle.  Everything else is
     measured by pickling — exactly what the in-process backends (and

@@ -6,11 +6,11 @@ partitioned across ranks (ParallelGenerateEFMCands), each rank locally
 deduplicates (Sort&RemoveDuplicates) and rank-tests its share, then an
 allgather exchanges the accepted candidates (Communicate&Merge) and every
 rank appends the identical merged candidate set, keeping the replicas in
-lockstep.  On the default deferred candidate pipeline the allgather ships
-packed supports + int32 pair indices instead of dense float rows (~``8*q``
-bytes per candidate cheaper); every rank recomputes the combination
-coefficients from its replica and rebuilds the dense survivors after the
-global dedup.
+lockstep.  In float arithmetic the allgather ships packed supports + int32
+pair indices instead of dense rows (~``8*q`` bytes per candidate cheaper);
+every rank recomputes the combination coefficients from its replica and
+rebuilds the dense survivors after the global dedup.  Exact-arithmetic
+runs ship their dense ``Fraction`` rows.
 
 Determinism: the merged candidate order is canonical (rank-major gather
 order, first-occurrence dedup), so all replicas stay bit-identical and the
@@ -143,12 +143,12 @@ def combinatorial_worker(
         )
 
         # Communicate&Merge: exchange accepted local candidates; every rank
-        # rebuilds the identical global candidate set.  The deferred
-        # pipeline ships packed supports + int32 pair indices (the indices
-        # address the replicated pre-iteration mode matrix, identical on
-        # every rank, so the combination coefficients are recomputed from
-        # the local replica's row-``k`` column); the eager reference ships
-        # the dense normalized rows.
+        # rebuilds the identical global candidate set.  Float runs ship
+        # packed supports + int32 pair indices (the indices address the
+        # replicated pre-iteration mode matrix, identical on every rank, so
+        # the combination coefficients are recomputed from the local
+        # replica's row-``k`` column); exact-arithmetic runs ship the dense
+        # rows.
         if isinstance(cand_local, CandidateBatch):
             t0 = time.perf_counter()
             gathered = comm.allgather(cand_local.to_wire())
@@ -180,12 +180,10 @@ def combinatorial_worker(
                         pair_i = pair_i[first]
                         pair_j = pair_j[first]
                 # Dense values are materialized here, once, for the
-                # globally accepted survivors only.  Same rank-major
-                # gather order, first-occurrence dedup, and rounding as
-                # the eager path (``b*y - c*x`` is bit-identical to the
-                # generation-side ``(-c)*x + b*y``: IEEE negation is
-                # exact and addition commutes), so the rebuilt rows match
-                # the dense rows it would have gathered (see
+                # globally accepted survivors only.  ``b*y - c*x`` is
+                # bit-identical to the generation-side ``(-c)*x + b*y``
+                # (IEEE negation is exact and addition commutes), so the
+                # rebuilt rows match the generated ones (see
                 # CandidateBatch.materialize, which this inlines).
                 col = modes.values[:, k]
                 sub = modes.values[pair_i]

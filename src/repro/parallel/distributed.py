@@ -26,11 +26,10 @@ import time
 import numpy as np
 
 from repro.config import DEFAULT_OPTIONS, AlgorithmOptions
-from repro.core.candidates import generate_candidates, strided_range
+from repro.core.candidates import strided_range
 from repro.core.iterstream import stream_iteration
 from repro.core.kernel import NullspaceProblem
-from repro.core.ranktest import rank_test
-from repro.core.state import CandidateBatch, ModeMatrix
+from repro.core.state import ModeMatrix
 from repro.core.stats import PhaseTimer, RunStats
 from repro.engine.context import RunContext
 from repro.errors import AlgorithmError
@@ -173,37 +172,14 @@ def distributed_worker(
             neg_idx = pos_all.n_modes + np.arange(neg_all.n_modes)
             pr = strided_range(n_pairs_total, comm.rank, comm.size)
             it.n_pairs = pr.count()
-            if options.iter_streaming == "on":
-                # Stream the local pair share chunk by chunk.  No
-                # zero-entry preload: duplicate control against zero
-                # survivors is global here, after the allgather below.
-                cand = stream_iteration(
-                    active, k, pos_idx, neg_idx, pr, problem.n_perm,
-                    problem.rank, options, it,
-                    acceptance="rank", rank_cache=rank_cache,
-                )
-            else:
-                with PhaseTimer(it, "t_gen_cand"):
-                    cand = generate_candidates(
-                        active, k, pos_idx, neg_idx, pr, problem.rank,
-                        options, it,
-                    )
-                with PhaseTimer(it, "t_merge"):
-                    before = cand.n_modes
-                    cand = cand.dedup()
-                    it.n_duplicates += before - cand.n_modes
-                it.n_tested = cand.n_modes
-                with PhaseTimer(it, "t_rank_test"):
-                    accept = rank_test(
-                        cand,
-                        problem.n_perm,
-                        problem.rank,
-                        policy=options.policy,
-                        backend=options.rank_backend,
-                        cache=rank_cache,
-                        stats=it,
-                    )
-                    cand = cand.select(accept)
+            # Stream the local pair share chunk by chunk.  No zero-entry
+            # preload: duplicate control against zero survivors is global
+            # here, after the allgather below.
+            cand = stream_iteration(
+                active, k, pos_idx, neg_idx, pr, problem.n_perm,
+                problem.rank, options, it,
+                acceptance="rank", rank_cache=rank_cache,
+            )
             it.n_accepted = cand.n_modes
 
         # Global duplicate control over supports only: a candidate is kept
@@ -227,11 +203,10 @@ def distributed_worker(
                 if drop.any():
                     it.n_duplicates += int(drop.sum())
                     cand = cand.select(~drop)
-                if isinstance(cand, CandidateBatch):
-                    # Deferred pipeline: the global duplicate control above
-                    # ran on supports alone; dense rows are rebuilt here,
-                    # once, for the survivors this rank owns.
-                    cand = cand.materialize(active.values)
+                # Support-first: the global duplicate control above ran on
+                # supports alone; dense rows are rebuilt here, once, for the
+                # survivors this rank owns.
+                cand = cand.materialize(active.values)
 
             if bool(problem.reversible[k]):
                 survivors = local

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.memory import (
+    DEFAULT_PAIR_CHUNK,
+    DEFAULT_STREAM_CHUNK_BYTES,
     MemoryModel,
     candidate_row_bytes,
     estimate_mode_bytes,
@@ -78,97 +80,55 @@ class TestEstimate:
 class TestCandidateRowBytes:
     def test_deferred_much_smaller_for_wide_networks(self):
         q = 64
-        assert candidate_row_bytes(q, "eager") == 8 * 64 + 8
-        assert candidate_row_bytes(q, "deferred") == 8 + 16
-        assert candidate_row_bytes(q, "eager") >= 4 * candidate_row_bytes(q, "deferred")
+        assert candidate_row_bytes(q) == 8 + 16
+        # Packed supports + pair indices vs a dense mode row.
+        assert estimate_mode_bytes(1, q) >= 4 * candidate_row_bytes(q)
 
     def test_word_rounding(self):
-        assert candidate_row_bytes(65, "deferred") == 16 + 16
-        assert candidate_row_bytes(1, "eager") == 8 + 8
-
-
-class TestPipelineAwarePrediction:
-    def test_deferred_prediction_not_larger(self):
-        from repro.dnc.subsets import enumerate_subsets
-        from repro.models.toy import toy_network
-        from repro.network.compression import compress_network
-
-        reduced = compress_network(toy_network()).reduced
-        for spec in enumerate_subsets(("r6r", "r8r")):
-            # The retained-set advantage is the invariant; the per-chunk
-            # generation transient is *larger* on the deferred pipeline
-            # (dense chunk plus mask plus packed words, all freed per
-            # chunk), so bound it with a small pair_chunk — the
-            # memory-tight configuration these predictions drive.
-            eager = predict_subset_peak_bytes(
-                reduced, spec, candidate_pipeline="eager", pair_chunk=4
-            )
-            deferred = predict_subset_peak_bytes(
-                reduced, spec, candidate_pipeline="deferred", pair_chunk=4
-            )
-            assert 0 <= deferred <= eager
-            # Default matches the default pipeline (deferred).
-            assert predict_subset_peak_bytes(
-                reduced, spec, pair_chunk=4
-            ) == deferred
+        assert candidate_row_bytes(65) == 16 + 16
+        assert candidate_row_bytes(1) == 8 + 16
 
 
 class TestStreamingChunkPairs:
     def test_clamped_to_pair_chunk(self):
-        # A huge budget never enlarges the generation chunk beyond the
-        # batch path's pair_chunk.
-        assert streaming_chunk_pairs(32, 1 << 40, pair_chunk=128) == 128
+        # A huge budget never enlarges a chunk beyond DEFAULT_PAIR_CHUNK.
+        assert streaming_chunk_pairs(32, 1 << 40) == DEFAULT_PAIR_CHUNK
 
     def test_tiny_budget_floors_at_one_pair(self):
         assert streaming_chunk_pairs(32, 1) == 1
 
     def test_budget_scales_chunk(self):
-        small = streaming_chunk_pairs(64, 8 << 10, pair_chunk=1 << 20)
-        big = streaming_chunk_pairs(64, 128 << 10, pair_chunk=1 << 20)
+        small = streaming_chunk_pairs(64, 8 << 10)
+        big = streaming_chunk_pairs(64, 128 << 10)
         assert 1 <= small < big
 
-    def test_auto_uses_capacity_over_default(self):
-        q, pc = 64, 1 << 20
-        capped = streaming_chunk_pairs(q, "auto", pair_chunk=pc,
-                                       capacity_bytes=1 << 20)
-        default = streaming_chunk_pairs(q, "auto", pair_chunk=pc)
-        assert capped < default  # (1 MiB)/8 budget vs the 16 MiB default
-
-    def test_deferred_pays_more_per_pair(self):
-        # Deferred's per-pair transient (dense row + mask + packed words)
-        # exceeds eager's (dense row only), so the same budget buys fewer
-        # pairs per chunk.
-        q, budget, pc = 64, 64 << 10, 1 << 20
-        assert streaming_chunk_pairs(
-            q, budget, pc, pipeline="deferred"
-        ) <= streaming_chunk_pairs(q, budget, pc, pipeline="eager")
+    def test_auto_is_the_default_budget(self):
+        for q in (8, 64, 4096):
+            assert streaming_chunk_pairs(q, "auto") == streaming_chunk_pairs(
+                q, DEFAULT_STREAM_CHUNK_BYTES
+            )
 
 
 class TestStreamingAwarePrediction:
-    def test_streaming_prediction_at_most_batch(self):
+    def test_smaller_chunk_budget_never_raises_prediction(self):
         from repro.dnc.subsets import enumerate_subsets
         from repro.models.toy import toy_network
         from repro.network.compression import compress_network
 
         reduced = compress_network(toy_network()).reduced
         for spec in enumerate_subsets(("r6r", "r8r")):
-            for pipeline in ("deferred", "eager"):
-                batch = predict_subset_peak_bytes(
-                    reduced, spec, candidate_pipeline=pipeline
-                )
-                streamed = predict_subset_peak_bytes(
-                    reduced, spec, candidate_pipeline=pipeline,
-                    iter_streaming="on", iter_chunk_bytes=4 << 10,
-                )
-                assert 0 <= streamed <= batch
+            auto = predict_subset_peak_bytes(reduced, spec)
+            small = predict_subset_peak_bytes(
+                reduced, spec, iter_chunk_bytes=4 << 10
+            )
+            assert 0 <= small <= auto
 
 
 class TestPredictionUpperBoundsMeasuredPeak:
     """Acceptance property: the a-priori prediction upper-bounds the
     *measured* peak (working-factor-weighted mode storage plus the worst
     iteration's retained-candidate + generation-transient bytes, straight
-    from the run stats) across streaming on/off, all pair strategies and
-    both candidate pipelines."""
+    from the run stats) for both pair strategies and chunk budgets."""
 
     WF = 1.5
 
@@ -180,10 +140,9 @@ class TestPredictionUpperBoundsMeasuredPeak:
         )
         return wf * stats.peak_mode_bytes + cand
 
-    @pytest.mark.parametrize("streaming", ["on", "off"])
-    @pytest.mark.parametrize("pipeline", ["deferred", "eager"])
+    @pytest.mark.parametrize("chunk", ["auto", 64 << 10])
     @pytest.mark.parametrize("strategy", ["strided", "block"])
-    def test_prediction_is_upper_bound(self, streaming, pipeline, strategy):
+    def test_prediction_is_upper_bound(self, chunk, strategy):
         from repro.config import AlgorithmOptions
         from repro.dnc.combined import solve_subset
         from repro.dnc.subsets import enumerate_subsets
@@ -191,19 +150,11 @@ class TestPredictionUpperBoundsMeasuredPeak:
         from repro.network.compression import compress_network
 
         reduced = compress_network(toy_network()).reduced
-        opts = AlgorithmOptions(
-            candidate_pipeline=pipeline,
-            iter_streaming=streaming,
-            iter_chunk_bytes=(64 << 10) if streaming == "on" else "auto",
-            pair_chunk=64,
-        )
+        opts = AlgorithmOptions(iter_chunk_bytes=chunk)
         for spec in enumerate_subsets(("r6r", "r8r")):
             predicted = predict_subset_peak_bytes(
                 reduced, spec,
                 working_factor=self.WF,
-                candidate_pipeline=pipeline,
-                pair_chunk=opts.pair_chunk,
-                iter_streaming=streaming,
                 iter_chunk_bytes=opts.iter_chunk_bytes,
             )
             res = solve_subset(
@@ -216,6 +167,5 @@ class TestPredictionUpperBoundsMeasuredPeak:
             assert measured > 0
             assert predicted >= measured, (
                 f"{spec.label()}: predicted {predicted} < measured "
-                f"{measured:.0f} (streaming={streaming}, {pipeline}, "
-                f"{strategy})"
+                f"{measured:.0f} (iter_chunk_bytes={chunk}, {strategy})"
             )

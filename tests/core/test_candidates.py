@@ -1,28 +1,58 @@
-"""Unit tests for candidate generation and pair ranges."""
+"""Unit tests for candidate generation (:func:`survivor_chunks`) and pair
+ranges."""
 
 import numpy as np
 import pytest
 
-from repro.config import AlgorithmOptions
 from repro.core.candidates import (
     PairRange,
     block_range,
     full_range,
-    generate_candidates,
     strided_range,
+    survivor_chunks,
 )
-from repro.core.state import CandidateBatch, ModeMatrix
+from repro.core.state import CandidateBatch, ModeMatrix, canonical_support_mask
 from repro.core.stats import IterationStats
+from repro.linalg.bitset import PackedSupports, pack_support_rows
 
 
 def _stats():
     return IterationStats(position=0, reaction="x", reversible=False)
 
 
-EAGER = AlgorithmOptions(candidate_pipeline="eager")
-# Pin explicitly: the default is env-sensitive (REPRO_CANDIDATE_PIPELINE),
-# and the CI candidate-pipeline leg flips it to "eager".
-DEFERRED = AlgorithmOptions(candidate_pipeline="deferred")
+def _chunks(modes, k, pos, neg, pair_range, rank_bound, stats=None,
+            chunk_pairs=65536):
+    return list(survivor_chunks(
+        modes, k, pos, neg, pair_range, rank_bound,
+        _stats() if stats is None else stats, chunk_pairs=chunk_pairs,
+    ))
+
+
+def dense_candidates(*args, **kw) -> ModeMatrix:
+    """Every generation survivor as a dense normalized row."""
+    modes = args[0]
+    chunks = _chunks(*args, **kw)
+    if not chunks:
+        return ModeMatrix.empty(modes.q)
+    return ModeMatrix(np.concatenate([c[2] for c in chunks], axis=0))
+
+
+def support_batch(*args, **kw) -> CandidateBatch:
+    """Every generation survivor as packed canonical supports + pair
+    indices, the way the iteration body keeps float candidates."""
+    modes, k = args[0], args[1]
+    chunks = _chunks(*args, **kw)
+    words = np.concatenate(
+        [pack_support_rows(canonical_support_mask(c[2], modes.policy))
+         for c in chunks],
+        axis=0,
+    )
+    return CandidateBatch(
+        PackedSupports(words, modes.q),
+        np.concatenate([c[0] for c in chunks]),
+        np.concatenate([c[1] for c in chunks]),
+        k,
+    )
 
 
 class TestPairRanges:
@@ -70,16 +100,8 @@ class TestGenerateCandidates:
 
     def test_combination_annihilates_row(self):
         modes = self._setup()
-        stats = _stats()
-        cand = generate_candidates(
-            modes,
-            2,
-            np.array([0]),
-            np.array([1]),
-            full_range(1),
-            rank_bound=3,
-            options=EAGER,
-            stats=stats,
+        cand = dense_candidates(
+            modes, 2, np.array([0]), np.array([1]), full_range(1), 3
         )
         assert cand.n_modes == 1
         assert cand.values[0, 2] == 0.0
@@ -88,21 +110,16 @@ class TestGenerateCandidates:
 
     def test_deferred_batch_materializes_to_eager_rows(self):
         modes = self._setup()
-        eager = generate_candidates(
-            modes, 2, np.array([0]), np.array([1]), full_range(1),
-            rank_bound=3, options=EAGER, stats=_stats(),
-        )
-        batch = generate_candidates(
-            modes, 2, np.array([0]), np.array([1]), full_range(1),
-            rank_bound=3, options=DEFERRED, stats=_stats(),
-        )
-        assert isinstance(batch, CandidateBatch)
-        assert batch.n_modes == eager.n_modes == 1
-        # Supports computed from transient values match the eager supports.
-        assert np.array_equal(batch.supports.words, eager.supports.words)
-        dense = batch.materialize(modes.values)
-        assert np.array_equal(dense.values, eager.values)
-        assert np.array_equal(dense.supports.words, eager.supports.words)
+        args = (modes, 2, np.array([0]), np.array([1]), full_range(1), 3)
+        dense = dense_candidates(*args)
+        batch = support_batch(*args)
+        assert batch.n_modes == dense.n_modes == 1
+        # Supports extracted from the transient values match the supports
+        # of the normalized dense rows.
+        assert np.array_equal(batch.supports.words, dense.supports.words)
+        rebuilt = batch.materialize(modes.values)
+        assert np.array_equal(rebuilt.values, dense.values)
+        assert np.array_equal(rebuilt.supports.words, dense.supports.words)
 
     def test_deferred_batch_is_smaller_than_eager(self):
         rng = np.random.default_rng(3)
@@ -110,33 +127,23 @@ class TestGenerateCandidates:
         col = modes.column(0)
         pos = np.nonzero(col > 0)[0]
         neg = np.nonzero(col < 0)[0]
-        n_pairs = pos.size * neg.size
-        eager = generate_candidates(
-            modes, 0, pos, neg, full_range(n_pairs), 64, EAGER, _stats(),
-        )
-        batch = generate_candidates(
-            modes, 0, pos, neg, full_range(n_pairs), 64,
-            DEFERRED, _stats(),
-        )
-        assert batch.n_modes == eager.n_modes > 0
-        assert batch.nbytes() * 4 <= eager.nbytes()
+        args = (modes, 0, pos, neg, full_range(pos.size * neg.size), 64)
+        dense = dense_candidates(*args)
+        batch = support_batch(*args)
+        assert batch.n_modes == dense.n_modes > 0
+        assert batch.nbytes() * 4 <= dense.nbytes()
 
     def test_prefilter_rejects_oversized_union(self):
         modes = ModeMatrix(
             np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, -1.0, 1.0]])
         )
         stats = _stats()
-        cand = generate_candidates(
-            modes,
-            3,
-            np.array([0]),
-            np.array([1]),
-            full_range(1),
-            rank_bound=2,  # union popcount 6 > rank+2=4 -> reject
-            options=EAGER,
+        chunks = _chunks(
+            modes, 3, np.array([0]), np.array([1]), full_range(1),
+            2,  # union popcount 6 > rank+2=4 -> reject
             stats=stats,
         )
-        assert cand.n_modes == 0
+        assert chunks == []
         assert stats.n_prefilter_kept == 0
 
     def test_chunking_equivalence(self):
@@ -146,20 +153,17 @@ class TestGenerateCandidates:
         col = modes.column(0)
         pos = np.nonzero(col > 0)[0]
         neg = np.nonzero(col < 0)[0]
-        outs = []
-        for chunk in (1, 3, 10_000):
-            stats = _stats()
-            cand = generate_candidates(
-                modes, 0, pos, neg, full_range(pos.size * neg.size),
-                rank_bound=6,
-                options=AlgorithmOptions(
-                    pair_chunk=chunk, candidate_pipeline="eager"
-                ),
-                stats=stats,
-            )
-            outs.append(np.sort(cand.values, axis=0))
-        assert np.allclose(outs[0], outs[1])
-        assert np.allclose(outs[0], outs[2])
+        outs = [
+            dense_candidates(
+                modes, 0, pos, neg, full_range(pos.size * neg.size), 6,
+                chunk_pairs=chunk,
+            ).values
+            for chunk in (1, 3, 10_000)
+        ]
+        # Chunking never reorders the enumeration: identical rows in
+        # identical order.
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0], outs[2])
 
     def test_strided_shares_cover_all_pairs(self):
         rng = np.random.default_rng(1)
@@ -168,17 +172,11 @@ class TestGenerateCandidates:
         pos = np.nonzero(col > 0)[0]
         neg = np.nonzero(col < 0)[0]
         n_pairs = pos.size * neg.size
-        full_stats = _stats()
-        full = generate_candidates(
-            modes, 1, pos, neg, full_range(n_pairs), 5,
-            EAGER, full_stats,
-        )
+        full = dense_candidates(modes, 1, pos, neg, full_range(n_pairs), 5)
         pieces = []
         for r in range(3):
-            s = _stats()
-            part = generate_candidates(
-                modes, 1, pos, neg, strided_range(n_pairs, r, 3), 5,
-                EAGER, s,
+            part = dense_candidates(
+                modes, 1, pos, neg, strided_range(n_pairs, r, 3), 5
             )
             if part.n_modes:
                 pieces.append(part.values)

@@ -5,8 +5,8 @@ Both accelerated backends must be pure optimizations —
 decision-for-decision identical to the per-candidate loop on every
 input: random networks, float and exact policies, reversible and
 irreversible rows, degenerate buckets, cold and warm caches, across
-divide-and-conquer subproblems sharing one memo, and across the full
-pipeline x streaming x pair-strategy option matrix.
+divide-and-conquer subproblems sharing one memo, and on the 530-EFM
+yeast-I-small pin.
 """
 
 from __future__ import annotations
@@ -400,21 +400,14 @@ class TestRegistryEquivalence:
 
 
 class TestOptionMatrixParity:
-    """The 530-EFM yeast-I-small pin must hold for every backend across
-    the candidate-pipeline x streaming option matrix, with all three
-    backends producing the same mode set per combination."""
+    """The 530-EFM yeast-I-small pin must hold for every backend, with all
+    three backends producing the same mode set."""
 
-    @pytest.mark.parametrize("iter_streaming", ["on", "off"])
-    @pytest.mark.parametrize("candidate_pipeline", ["deferred", "eager"])
-    def test_yeast_pin_across_backends(self, candidate_pipeline, iter_streaming):
+    def test_yeast_pin_across_backends(self):
         net = get_network("yeast-I-small")
         results = {}
         for be in ("loop", "batched", "modular"):
-            opts = AlgorithmOptions(
-                rank_backend=be,
-                candidate_pipeline=candidate_pipeline,
-                iter_streaming=iter_streaming,
-            )
+            opts = AlgorithmOptions(rank_backend=be)
             results[be] = compute_efms(net, options=opts)
             assert results[be].n_efms == 530, be
         for be in ("batched", "modular"):

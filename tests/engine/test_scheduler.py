@@ -44,15 +44,14 @@ class TestPlanning:
     def test_predictions_match_memory_model(self, reduced, specs):
         sched = make_scheduler(reduced, specs)
         jobs = sched.plan()
-        # The scheduler predicts for whatever pipeline / backend its
+        # The scheduler predicts for whatever chunk budget / backend its
         # options select (env-sensitive defaults) — compare like for like.
         opts = sched.context.options
         for job in jobs:
             assert job.predicted_peak_bytes == predict_subset_peak_bytes(
                 reduced,
                 job.spec,
-                candidate_pipeline=opts.candidate_pipeline,
-                pair_chunk=opts.pair_chunk,
+                iter_chunk_bytes=opts.iter_chunk_bytes,
                 rank_backend=opts.rank_backend,
                 ordering=opts.ordering,
             )

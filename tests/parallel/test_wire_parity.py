@@ -3,7 +3,7 @@
 Moving the per-iteration allgather between the sequential simulator,
 lockstep threads and forked processes must never change a single bit of
 any result.  The slow acceptance property pins the yeast-I-small 530-EFM
-set across backends and both candidate pipelines.
+set across backends.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import AlgorithmOptions
 from repro.efm.api import compute_efms
 from repro.models.generators import random_network
 from repro.models.variants import yeast_1_small
@@ -29,20 +28,15 @@ def test_wire_stats_populated():
 @pytest.mark.slow
 def test_yeast_small_wire_parity_property():
     """Acceptance property: yeast-I-small — every backend produces the
-    bit-identical 530-EFM set on both candidate pipelines."""
+    bit-identical 530-EFM set."""
     net = yeast_1_small()
     ref = None
-    for pipeline in ("deferred", "eager"):
-        for backend, n_ranks in (("sequential", 4), ("thread", 2), ("process", 2)):
-            run = compute_efms(
-                net,
-                method="parallel",
-                n_ranks=n_ranks,
-                backend=backend,
-                options=AlgorithmOptions(candidate_pipeline=pipeline),
-            )
-            assert run.n_efms == 530, (pipeline, backend)
-            if ref is None:
-                ref = run.fluxes
-            else:
-                assert np.array_equal(run.fluxes, ref), (pipeline, backend)
+    for backend, n_ranks in (("sequential", 4), ("thread", 2), ("process", 2)):
+        run = compute_efms(
+            net, method="parallel", n_ranks=n_ranks, backend=backend
+        )
+        assert run.n_efms == 530, backend
+        if ref is None:
+            ref = run.fluxes
+        else:
+            assert np.array_equal(run.fluxes, ref), backend
