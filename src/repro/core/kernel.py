@@ -165,9 +165,7 @@ def problem_from_matrices(
     pivot_priority[force_idx] = -2
     pivot_priority[[names.index(f) for f in free_hint]] = 1  # scan last -> free
 
-    kernel0, col_perm = kernel_identity_form(
-        n, exact=True, policy=options.policy, pivot_priority=pivot_priority
-    )
+    kernel0, col_perm = kernel_identity_form(n, pivot_priority=pivot_priority)
     n_free = kernel0.shape[1]
     if n_free == 0:
         raise TrivialNullspaceError(

@@ -135,32 +135,6 @@ class ModeMatrix:
         return out
 
     @classmethod
-    def from_pairs(
-        cls,
-        source_values: np.ndarray,
-        pair_i: np.ndarray,
-        pair_j: np.ndarray,
-        coef_a: np.ndarray,
-        coef_b: np.ndarray,
-        *,
-        policy: NumericPolicy = DEFAULT_POLICY,
-    ) -> "ModeMatrix":
-        """Materialize candidate rows ``a * source[i] + b * source[j]`` —
-        from pair indices and explicit coefficients.
-
-        The combination and the constructor's canonicalization are both
-        row-wise, so the result is bit-identical to a matrix built eagerly
-        from the same pairs in any chunking or order.
-        """
-        if pair_i.size == 0:
-            return cls.empty(source_values.shape[1], policy=policy)
-        vals = (
-            source_values[pair_i] * coef_a[:, None]
-            + source_values[pair_j] * coef_b[:, None]
-        )
-        return cls(vals, policy=policy)
-
-    @classmethod
     def empty(cls, q: int, *, exact: bool = False,
               policy: NumericPolicy = DEFAULT_POLICY) -> "ModeMatrix":
         dtype = object if exact else np.float64
@@ -349,7 +323,7 @@ class CandidateBatch:
         policy: NumericPolicy,
     ) -> "CandidateBatch":
         """Internal fast path: parts already coerced and length-checked
-        (select / concat / dedup slicing — hot in the iteration loop)."""
+        (select slicing — hot in the iteration loop)."""
         out = cls.__new__(cls)
         out.supports = supports
         out.pair_i = pair_i
@@ -397,27 +371,6 @@ class CandidateBatch:
             self.policy,
         )
 
-    def concat(self, other: "CandidateBatch") -> "CandidateBatch":
-        if other.q != self.q:
-            raise AlgorithmError("concat of CandidateBatch with mismatched q")
-        if other.row != self.row and other.n_modes and self.n_modes:
-            raise AlgorithmError("concat of CandidateBatch from different rows")
-        return CandidateBatch._from_parts(
-            self.supports.concat(other.supports),
-            np.concatenate([self.pair_i, other.pair_i]),
-            np.concatenate([self.pair_j, other.pair_j]),
-            self.row if self.n_modes else other.row,
-            self.policy,
-        )
-
-    def dedup(self) -> "CandidateBatch":
-        """First-occurrence support dedup — same canonical order as
-        :meth:`ModeMatrix.dedup`."""
-        _, first = bitset.unique_rows(self.supports.words)
-        if len(first) == self.n_modes:
-            return self
-        return self.select(first)
-
     # -- materialization and wire format -------------------------------------
 
     def materialize(self, source_values: np.ndarray) -> ModeMatrix:
@@ -458,26 +411,6 @@ class CandidateBatch:
             self.supports.words,
             self.pair_i.astype(np.int32),
             self.pair_j.astype(np.int32),
-        )
-
-    @classmethod
-    def from_wire(
-        cls,
-        parts,
-        q: int,
-        row: int,
-        policy: NumericPolicy = DEFAULT_POLICY,
-    ) -> "CandidateBatch":
-        """Rebuild a batch from :meth:`to_wire` parts.
-
-        ``row`` is the iteration row the sender was processing — the
-        receiver supplies it from its own loop counter (lockstep SPMD).
-        Materialization recomputes the combination coefficients from the
-        receiver's replica, which is bit-identical to the sender's."""
-        words, pair_i, pair_j = parts
-        # int32 indices index numpy arrays directly; no widening needed.
-        return cls._from_parts(
-            PackedSupports(words, q), pair_i, pair_j, row, policy
         )
 
     def __repr__(self) -> str:

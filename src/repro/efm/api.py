@@ -68,7 +68,8 @@ def compute_efms(
         (divide-and-conquer over ``partition``).  The combinatorial
         acceptance test (``options.acceptance`` ``"bittree"``/``"both"``)
         runs on ``"serial"`` and ``"parallel"`` only; the other methods
-        reject it before any work.
+        reject it before any work, and ``"distributed"`` rejects
+        ``options.arithmetic="exact"`` the same way.
     compress:
         Run the lossless network reduction first (recommended; the paper
         always does).
@@ -118,6 +119,12 @@ def compute_efms(
             f"acceptance={options.acceptance!r} is supported by "
             "method='serial' and method='parallel' only; "
             f"method={method!r} supports acceptance='rank'"
+        )
+    if options.arithmetic == "exact" and method == "distributed":
+        raise AlgorithmError(
+            "arithmetic='exact' is not supported by method='distributed', "
+            "whose sharded driver runs float arithmetic only; use another "
+            "method or arithmetic='float'"
         )
     if compress:
         rec = compress_network(network)

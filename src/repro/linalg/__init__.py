@@ -1,4 +1,5 @@
-"""Linear-algebra substrate: exact rational routines, tolerant floating
+"""Linear-algebra substrate: exact integer elimination for the initial
+kernel and the modular rank test, exact rational rank, tolerant floating
 routines, and packed bitset support patterns."""
 
 from repro.linalg.batched import (
@@ -22,12 +23,7 @@ from repro.linalg.numeric import (
     nullity,
     support_of,
 )
-from repro.linalg.rational import (
-    exact_nullspace,
-    exact_rank,
-    integerize_columns,
-    rref,
-)
+from repro.linalg.rational import exact_rank, rref
 
 __all__ = [
     "CacheBinding",
@@ -45,8 +41,6 @@ __all__ = [
     "numeric_rank",
     "nullity",
     "support_of",
-    "exact_nullspace",
     "exact_rank",
-    "integerize_columns",
     "rref",
 ]

@@ -150,24 +150,31 @@ def integerize(n_perm: np.ndarray) -> np.ndarray | None:
     return out
 
 
-def int_kernel(n_int: np.ndarray) -> tuple[int, np.ndarray]:
-    """Exact integer nullspace basis via Montante (fraction-free
-    Gauss-Jordan) elimination.
+def montante(a: np.ndarray) -> tuple[np.ndarray, list[int], int]:
+    """Fraction-free Gauss-Jordan (Montante) elimination of an integer
+    matrix, scanning columns left to right.
 
-    Returns ``(rank, B)`` with ``B`` an int64 ``(q, d)`` basis of the
-    rational nullspace, each column divided by its gcd (essential: the
-    delta-scaled construction leaves common factors that would amplify
-    Bareiss minors exponentially downstream).  Raises ``OverflowError``
-    when intermediates threaten the int64 envelope.
+    ``a`` is int64 or object (Python ``int``) dtype and is not modified.
+    Returns ``(A, pivot_cols, delta)``: row ``i < len(pivot_cols)`` of the
+    eliminated ``A`` holds ``delta`` in column ``pivot_cols[i]`` and zero
+    in every other pivot column, so ``A[:r] / delta`` is the reduced row
+    echelon form and the pivots are the leftmost independent columns.
+    Every quotient is exact.  int64 input raises ``OverflowError`` the
+    moment an entry would leave :data:`INT_KERNEL_GUARD`; object input is
+    exact at any size.
     """
-    m, q = n_int.shape
-    A = n_int.astype(np.int64).copy()
+    m, q = a.shape
+    guarded = a.dtype != object
+    A = a.copy()
+    if guarded and A.size and np.abs(A).max() >= INT_KERNEL_GUARD:
+        raise OverflowError("Montante input exceeds int64 envelope")
     piv_cols: list[int] = []
     prev = 1
     r = 0
     for j in range(q):
-        col = A[r:, j]
-        nz = np.nonzero(col)[0]
+        if r == m:
+            break
+        nz = np.nonzero(A[r:, j])[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
@@ -183,25 +190,48 @@ def int_kernel(n_int: np.ndarray) -> tuple[int, np.ndarray]:
         upd //= prev
         upd[r] = A[r]
         A = upd
-        if np.abs(A).max() > INT_KERNEL_GUARD:
-            raise OverflowError("Montante kernel basis exceeds int64 envelope")
+        if guarded and np.abs(A).max() >= INT_KERNEL_GUARD:
+            raise OverflowError("Montante elimination exceeds int64 envelope")
         prev = pv
         piv_cols.append(j)
         r += 1
-        if r == m:
-            break
-    free = [j for j in range(q) if j not in piv_cols]
-    B = np.zeros((q, len(free)), dtype=np.int64)
-    delta = prev
-    for jj, fj in enumerate(free):
-        B[fj, jj] = delta
-        for i, pj in enumerate(piv_cols):
-            B[pj, jj] = -int(A[i, fj]) * delta // int(A[i, pj])
-    for jj in range(B.shape[1]):
-        g = int(np.gcd.reduce(np.abs(B[:, jj])))
-        if g > 1:
-            B[:, jj] //= g
-    return r, B
+    return A, piv_cols, prev
+
+
+def montante_kernel(A: np.ndarray, piv_cols: list[int], delta: int) -> np.ndarray:
+    """Nullspace basis read off a :func:`montante` result.
+
+    One column per free column ``f`` (ascending): ``x[f] = delta``,
+    ``x[p_i] = -A[i, f]``, divided by its gcd (essential: the
+    delta-scaled construction leaves common factors that would amplify
+    Bareiss minors exponentially downstream) and signed so ``x[f] > 0``.
+    That is the primitive integer multiple of the RREF parametrization,
+    in ``A``'s dtype.
+    """
+    q = A.shape[1]
+    pivset = set(piv_cols)
+    free = [j for j in range(q) if j not in pivset]
+    B = np.zeros((q, len(free)), dtype=A.dtype)
+    if not free:
+        return B
+    cols = np.arange(len(free))
+    B[free, cols] = delta
+    B[piv_cols, :] = -A[: len(piv_cols)][:, free]
+    B //= np.gcd.reduce(np.abs(B), axis=0)
+    if delta < 0:
+        B = -B
+    return B
+
+
+def int_kernel(n_int: np.ndarray) -> tuple[int, np.ndarray]:
+    """Exact integer nullspace basis via :func:`montante` elimination.
+
+    Returns ``(rank, B)`` with ``B`` an int64 ``(q, d)`` gcd-reduced basis
+    of the rational nullspace (:func:`montante_kernel`).  Raises
+    ``OverflowError`` when intermediates threaten the int64 envelope.
+    """
+    A, piv_cols, delta = montante(n_int.astype(np.int64))
+    return len(piv_cols), montante_kernel(A, piv_cols, delta)
 
 
 def _verify_kernel(n_int: np.ndarray, B: np.ndarray) -> bool:

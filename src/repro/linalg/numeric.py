@@ -1,18 +1,21 @@
 """Tolerant floating-point linear algebra for the enumeration inner loop.
 
-Everything here is vectorized numpy on float64.  Exactness-critical one-off
-steps (the initial kernel) delegate to :mod:`repro.linalg.rational` and then
-round; per-candidate steps (support extraction, rank tests) use tolerances
-from :class:`repro.config.NumericPolicy`.
+Per-candidate steps (support extraction, rank tests) are vectorized numpy
+on float64 with tolerances from :class:`repro.config.NumericPolicy`.  The
+one exactness-critical one-off step, the initial kernel, is an exact
+fraction-free integer elimination (:func:`repro.linalg.modular.montante`)
+whose result is converted to float.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.config import DEFAULT_POLICY, NumericPolicy
 from repro.errors import LinAlgError
-from repro.linalg import rational
+from repro.linalg import modular, rational
 
 
 def column_normalize(cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -80,8 +83,6 @@ def nullity(a: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> int:
 def kernel_identity_form(
     n: np.ndarray,
     *,
-    exact: bool = True,
-    policy: NumericPolicy = DEFAULT_POLICY,
     pivot_priority: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Initial nullspace matrix of ``n`` in the paper's ``(I; R)`` form.
@@ -105,67 +106,56 @@ def kernel_identity_form(
 
     ``pivot_priority`` (integer, one entry per column; lower scans earlier)
     biases which columns become *pivots* (and thus land in the processed
-    ``R2`` block): RREF takes the leftmost independent columns as pivots,
-    so low-priority-value columns are preferred.  The Nullspace Algorithm
-    requires every reversible reaction to be a pivot — a reversible
-    reaction in the identity block would never be processed and its
-    negative-flux EFMs would be silently lost — so callers pass priority
+    ``R2`` block): the elimination takes the leftmost independent columns
+    as pivots, so low-priority-value columns are preferred.  The Nullspace
+    Algorithm requires every reversible reaction to be a pivot — a
+    reversible reaction in the identity block would never be processed and
+    its negative-flux EFMs would be silently lost — so callers pass priority
     ``-1`` for reversible reactions (and ``+1`` for columns they want kept
     free, e.g. to reproduce the paper's worked example).
 
-    With ``exact=True`` (default) the echelon reduction runs in rational
-    arithmetic and the result is integerized column-wise before conversion
-    to float; the float fallback uses SVD-based pivot detection.
+    The reduction is exact: each row is scaled to integers (row scaling
+    leaves the nullspace unchanged) and one fraction-free Gauss–Jordan pass
+    (:func:`repro.linalg.modular.montante`) runs in int64, rerun over Python
+    ints when the int64 guard trips.  Each kernel column is the co-prime
+    integer vector with a positive identity entry, converted to float.
     """
     if n.ndim != 2:
         raise LinAlgError("kernel_identity_form expects a 2-D stoichiometry")
     q = n.shape[1]
-    if exact:
-        if pivot_priority is not None:
-            prio = np.asarray(pivot_priority)
-            if prio.shape != (q,):
-                raise LinAlgError("pivot_priority length mismatch")
-            # Stable sort: low priority scans first and RREF's
-            # leftmost-independent pivot rule picks those as pivots.
-            scan_order = np.argsort(prio, kind="stable").astype(np.intp)
-        else:
-            scan_order = np.arange(q, dtype=np.intp)
-        nf = np.asarray(n, dtype=np.float64)
-        fm = rational.from_numpy(nf[:, scan_order])
-        _, pivots_scan = rational.rref(fm)
-        pivots = sorted(int(scan_order[p]) for p in pivots_scan)
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(q) if c not in pivot_set]
-        # Permuted order: free (identity-part) reactions first, pivots after.
-        col_perm = np.array(free_cols + pivots, dtype=np.intp)
-        n_free = len(free_cols)
-        # Parametrize the nullspace with *our* free set: scanning the
-        # chosen pivots first forces RREF to use exactly them as pivots,
-        # making the trailing columns the free variables.
-        scan2 = np.array(pivots + free_cols, dtype=np.intp)
-        basis2 = rational.exact_nullspace(rational.from_numpy(nf[:, scan2]))
-        ints = rational.integerize_columns(basis2)
-        arr2 = np.array(ints, dtype=np.float64).reshape(q, n_free)
-        # Rows of arr2 follow scan2 order; reorder to col_perm order
-        # (free block on top -> literal (I; R) shape up to column scaling).
-        pos_in_scan2 = {int(c): i for i, c in enumerate(scan2)}
-        kernel = arr2[[pos_in_scan2[int(c)] for c in col_perm], :]
+    if pivot_priority is not None:
+        prio = np.asarray(pivot_priority)
+        if prio.shape != (q,):
+            raise LinAlgError("pivot_priority length mismatch")
+        # Stable sort: low priority scans first and the elimination's
+        # leftmost-independent pivot rule picks those as pivots.
+        scan_order = np.argsort(prio, kind="stable").astype(np.intp)
     else:
-        basis = _float_nullspace(np.asarray(n, dtype=np.float64), policy)
-        n_free = basis.shape[1]
-        # Choose identity rows greedily: rows whose sub-block is best
-        # conditioned.  Simple approach: QR with column pivoting on basisᵀ.
-        _, _, piv = _qr_pivot(basis.T)
-        top = piv[:n_free]
-        rest = np.array([i for i in range(q) if i not in set(top.tolist())], dtype=np.intp)
-        col_perm = np.concatenate([top, rest])
-        block = basis[top, :]
-        kernel = np.concatenate(
-            [np.eye(n_free), basis[rest, :] @ np.linalg.inv(block)], axis=0
-        )
+        scan_order = np.arange(q, dtype=np.intp)
+    nf = np.asarray(n, dtype=np.float64)
+    a = _integer_rows(nf)[:, scan_order]
+    try:
+        A, piv_scan, delta = modular.montante(a.astype(np.int64))
+    except OverflowError:
+        A, piv_scan, delta = modular.montante(a.astype(object))
+    # Basis rows follow scan order, one column per free scan position.
+    basis = modular.montante_kernel(A, piv_scan, delta)
+    pivot_set = {int(scan_order[p]) for p in piv_scan}
+    free_cols = [c for c in range(q) if c not in pivot_set]
+    # Permuted order: free (identity-part) reactions first, pivots after,
+    # each ascending in the original column order.
+    col_perm = np.array(free_cols + sorted(pivot_set), dtype=np.intp)
+    pos_in_scan = np.empty(q, dtype=np.intp)
+    pos_in_scan[scan_order] = np.arange(q)
+    # Rows from scan order to col_perm order; columns from ascending scan
+    # position to ascending free column.
+    free_pos = pos_in_scan[free_cols]
+    kernel = basis[pos_in_scan[col_perm]][
+        :, np.searchsorted(np.sort(free_pos), free_pos)
+    ].astype(np.float64)
     # Sanity: permuted stoichiometry annihilates the kernel.
     if kernel.size:
-        resid = np.abs(np.asarray(n, dtype=np.float64)[:, col_perm] @ kernel)
+        resid = np.abs(nf[:, col_perm] @ kernel)
         scale = max(1.0, float(np.abs(kernel).max()), float(np.abs(n).max()))
         if resid.size and resid.max() > 1e-6 * scale:
             raise LinAlgError(
@@ -174,23 +164,29 @@ def kernel_identity_form(
     return kernel, col_perm
 
 
-def _float_nullspace(a: np.ndarray, policy: NumericPolicy) -> np.ndarray:
-    """SVD-based orthonormal nullspace basis (columns)."""
-    if a.size == 0:
-        return np.eye(a.shape[1])
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    cutoff = policy.rank_tol * (s[0] if s.size else 0.0) * max(a.shape)
-    rank = int(np.count_nonzero(s > cutoff))
-    return vh[rank:].T.copy()
+def _integer_rows(nf: np.ndarray) -> np.ndarray:
+    """Exact integer matrix with the nullspace of ``nf``.
 
-
-def _qr_pivot(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """QR with column pivoting via scipy; lazy import keeps scipy optional
-    on the hot path."""
-    import scipy.linalg  # noqa: PLC0415
-
-    qm, rm, piv = scipy.linalg.qr(a, pivoting=True, mode="economic")
-    return qm, rm, np.asarray(piv, dtype=np.intp)
+    Each row is scaled by the lcm of its entries' denominators, the
+    entries read as rationals by :func:`repro.linalg.rational.to_fraction_matrix`.
+    Row scaling leaves the nullspace unchanged (column scaling, as in
+    :func:`repro.linalg.modular.integerize`, would not).  int64 for
+    integer-valued input under the elimination guard, Python ``int``
+    objects otherwise.
+    """
+    r = np.rint(nf)
+    integral = (r == nf).all(axis=1)
+    if integral.all() and (not r.size or np.abs(r).max() < modular.INT_KERNEL_GUARD):
+        return r.astype(np.int64)
+    rows = []
+    for row, is_int in zip(nf.tolist(), integral):
+        if is_int:
+            rows.append([int(x) for x in row])
+            continue
+        fracs = rational.to_fraction_matrix([row])[0]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        rows.append([int(f * scale) for f in fracs])
+    return np.array(rows, dtype=object).reshape(nf.shape)
 
 
 def gcd_reduce_rows(mat: np.ndarray) -> np.ndarray:

@@ -1,21 +1,16 @@
 """Exact rational linear algebra over ``fractions.Fraction``.
 
-The Nullspace Algorithm needs an initial nullspace basis in the special
-``(I; R)`` form (identity block on top).  Computing that basis in exact
-arithmetic avoids seeding the whole enumeration with rounding noise: the
-stoichiometric coefficients of real metabolic models are rationals (the
-yeast biomass reaction R70 has coefficients up to 40141), and a float RREF
-can misclassify near-zero pivots.  These routines are O(n^3) with big-int
-coefficient growth — fine for the one-off kernel computation and for
-verifying small networks, far too slow for the inner enumeration loop
-(which uses :mod:`repro.linalg.numeric`).
-
-Matrices are represented as list-of-rows of :class:`fractions.Fraction`.
+What ``arithmetic="exact"`` runs need: an exact matrix representation
+(list-of-rows of :class:`fractions.Fraction`), conversion from numpy, and
+exact rank by RREF for the per-candidate rank test on small networks.
+These routines are O(n^3) with big-int coefficient growth, far too slow for
+the float inner loop (:mod:`repro.linalg.numeric`).  The initial kernel
+does not come from here: it is an exact fraction-free integer elimination
+(:func:`repro.linalg.modular.montante`).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -100,100 +95,9 @@ def exact_rank(a: FractionMatrix) -> int:
     return len(pivots)
 
 
-def exact_nullity(a: FractionMatrix) -> int:
-    """Exact right-nullspace dimension: ``n_cols - rank``."""
-    return matrix_shape(a)[1] - exact_rank(a)
-
-
-def exact_nullspace(a: FractionMatrix) -> FractionMatrix:
-    """Exact basis of the right nullspace of ``a``.
-
-    Returns a matrix whose *columns* span ``{x : a @ x = 0}``, in the
-    canonical RREF parametrization: for each free column ``f`` the basis
-    vector has ``x[f] = 1``, ``x[p] = -R[row(p), f]`` for pivot columns
-    ``p`` and zero elsewhere.  Shape is ``(n_cols, n_cols - rank)``; an
-    empty nullspace yields a ``(n_cols, 0)`` matrix (list of ``n_cols``
-    empty rows).
-    """
-    m, n = matrix_shape(a)
-    if m == 0:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    r, pivots = rref(a)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    basis: FractionMatrix = [[Fraction(0)] * len(free_cols) for _ in range(n)]
-    for k, f in enumerate(free_cols):
-        basis[f][k] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            basis[p][k] = -r[row_idx][f]
-    return basis
-
-
-def integerize_columns(a: FractionMatrix) -> list[list[int]]:
-    """Scale each column of ``a`` to the smallest co-prime integer vector.
-
-    Multiplies each column by the LCM of its denominators and divides by the
-    GCD of the resulting numerators, preserving sign.  Used to hand the
-    enumeration loop a clean integer kernel and to canonicalize EFMs for
-    exact comparison.
-    """
-    m, n = matrix_shape(a)
-    out = [[0] * n for _ in range(m)]
-    for j in range(n):
-        col = [a[i][j] for i in range(m)]
-        denom_lcm = 1
-        for x in col:
-            denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-        ints = [int(x * denom_lcm) for x in col]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        for i in range(m):
-            out[i][j] = ints[i]
-    return out
-
-
-def fraction_matmul(a: FractionMatrix, b: FractionMatrix) -> FractionMatrix:
-    """Exact matrix product ``a @ b``."""
-    ma, na = matrix_shape(a)
-    mb, nb = matrix_shape(b)
-    if na != mb:
-        raise LinAlgError(f"shape mismatch in fraction_matmul: {na} vs {mb}")
-    out = [[Fraction(0)] * nb for _ in range(ma)]
-    for i in range(ma):
-        arow = a[i]
-        for k in range(na):
-            aik = arow[k]
-            if aik == 0:
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(nb):
-                if brow[j] != 0:
-                    orow[j] += aik * brow[j]
-    return out
-
-
-def is_zero_matrix(a: FractionMatrix) -> bool:
-    """True iff every entry of ``a`` is exactly zero."""
-    return all(x == 0 for row in a for x in row)
-
-
 def from_numpy(a: np.ndarray) -> FractionMatrix:
     """Convert a numpy array (any numeric dtype) to an exact matrix."""
     return to_fraction_matrix(a.tolist())
-
-
-def to_numpy(a: FractionMatrix, dtype=np.float64) -> np.ndarray:
-    """Convert an exact matrix to a numpy array (lossy for big rationals)."""
-    m, n = matrix_shape(a)
-    out = np.zeros((m, n), dtype=dtype)
-    for i in range(m):
-        for j in range(n):
-            out[i, j] = float(a[i][j])
-    return out
 
 
 def select_columns(a: FractionMatrix, cols: Sequence[int]) -> FractionMatrix:

@@ -169,3 +169,40 @@ class TestPredictionUpperBoundsMeasuredPeak:
                 f"{spec.label()}: predicted {predicted} < measured "
                 f"{measured:.0f} (iter_chunk_bytes={chunk}, {strategy})"
             )
+
+
+class TestYeastSubsetPlan:
+    """Pinned planning output for the 32 yeast-I-small ``q_sub = 5``
+    subsets under dynamic ordering, whose pair-count surrogate simulates
+    the row trajectory on the exact initial kernel's sign pattern."""
+
+    PEAKS = [
+        5038704, 5924330, 3530424, 4087552, 5924330, 6803643, 4087552, 4639992,
+        5161968, 6064675, 3611252, 4177808, 6064675, 6959788, 4177808, 4738842,
+        5161968, 6064675, 3611252, 4177808, 6064675, 6959788, 4177808, 4738842,
+        6064675, 6959788, 4177808, 4738842, 6959788, 7826724, 4738842, 5282316,
+    ]
+    ORDER = [
+        29, 13, 21, 25, 28, 5, 9, 12, 17, 20, 24, 1, 4, 31, 8, 16,
+        0, 15, 23, 27, 30, 7, 11, 14, 19, 22, 26, 3, 6, 10, 18, 2,
+    ]
+
+    def test_predictions_and_schedule_order(self):
+        from repro.config import AlgorithmOptions
+        from repro.dnc.subsets import enumerate_subsets
+        from repro.efm.api import _resolve_partition
+        from repro.engine import RunContext, SubproblemScheduler
+        from repro.models.registry import get_network
+        from repro.network.compression import compress_network
+
+        reduced = compress_network(get_network("yeast-I-small")).reduced
+        opts = AlgorithmOptions(
+            ordering="dynamic", rank_backend="modular", iter_chunk_bytes="auto"
+        )
+        specs = enumerate_subsets(_resolve_partition(reduced, 5, "tail", opts))
+        sched = SubproblemScheduler(
+            reduced, specs, context=RunContext(options=opts)
+        )
+        jobs = sched.plan()
+        assert [j.predicted_peak_bytes for j in jobs] == self.PEAKS
+        assert [j.index for j in sched.scheduled(jobs)] == self.ORDER

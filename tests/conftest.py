@@ -15,6 +15,8 @@ from repro.network.compression import compress_network
 from repro.network.model import MetabolicNetwork
 from repro.network.stoichiometry import exact_stoichiometric_matrix
 
+from tests import oracles
+
 
 @pytest.fixture(scope="session")
 def toy():
@@ -74,7 +76,7 @@ def brute_force_efms(network: MetabolicNetwork) -> np.ndarray:
     for size in range(1, min(q, rank + 1) + 1):
         for subset in itertools.combinations(range(q), size):
             sub = rational.select_columns(n_exact, list(subset))
-            basis = rational.exact_nullspace(sub)
+            basis = oracles.exact_nullspace(sub)
             ncols = len(basis[0]) if basis else 0
             if ncols != 1:
                 continue

@@ -128,6 +128,17 @@ class TestOptionMatrix:
         assert r.n_efms == TOY_N_EFMS
         assert_same_modes(brute_force_efms(toy), r.fluxes)
 
+    def test_exact_distributed_rejected_up_front(self, toy, monkeypatch):
+        def no_work(*args, **kw):
+            raise AssertionError("work started before the option check")
+
+        monkeypatch.setattr("repro.efm.api.compress_network", no_work)
+        with pytest.raises(AlgorithmError, match="arithmetic='exact'"):
+            compute_efms(
+                toy, method="distributed", n_ranks=2,
+                options=AlgorithmOptions(arithmetic="exact"),
+            )
+
 
 class TestOutputShape:
     def test_canonical_order(self, toy):

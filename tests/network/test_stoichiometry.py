@@ -2,12 +2,13 @@
 
 import numpy as np
 
-from repro.linalg.rational import to_numpy
 from repro.network.stoichiometry import (
     exact_stoichiometric_matrix,
     reversibility_vector,
     stoichiometric_matrix,
 )
+
+from tests.oracles import to_numpy
 
 
 class TestToyMatrix:
